@@ -8,12 +8,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fusedpack_core::{FlushReason, FusionConfig, FusionOp, Scheduler, Uid};
-use fusedpack_datatype::{pack, Layout, TypeBuilder};
-use fusedpack_gpu::{
-    BufferPool, DataMode, DevPtr, FixedRuns, Gpu, GpuArch, HostLink, MemPool, StreamId,
-};
+use fusedpack_datatype::{pack, Layout, LayoutClass, TypeBuilder};
+use fusedpack_gpu::{BufferPool, DataMode, DevPtr, Gpu, GpuArch, HostLink, StreamId};
 use fusedpack_sim::{EventQueue, FaultPlan, FaultSite, Time};
-use fusedpack_workloads::{run_exchange_chaos, specfem::specfem3d_oc, ExchangeConfig};
+use fusedpack_workloads::specfem::{specfem3d_cm, specfem3d_oc};
+use fusedpack_workloads::{run_exchange_chaos, ExchangeConfig};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -159,115 +158,70 @@ fn bench_staging_pool_mixed(c: &mut Criterion) {
     g.finish();
 }
 
-/// The fixed-stride gather tier against the generic per-segment loop on
-/// the same uniform layout: 4096 16-byte runs at a 24-byte stride (a
-/// blocklen-2 double vector). `uniform` dispatches to the const-width
-/// `[u8; 16]` inner loop; `generic_loop` walks the same plan through the
-/// segment-iterator path.
-fn bench_gather_tier(c: &mut Criterion) {
-    let layout = Layout::of(&TypeBuilder::vector(4096, 2, 3, TypeBuilder::double()));
+/// One copy-executor group: `pack`/`unpack` through `pack::pack_into` and
+/// `pack::unpack` (whichever tier `layout`'s plan selects), the generic
+/// segment walk they are checked against (`pack_generic_loop`), and a
+/// plain `memcpy` of the same byte count as the roofline.
+fn bench_executor(c: &mut Criterion, group: &str, names: [&str; 2], layout: &Layout) {
     let count = 1u64;
-    let plan = layout.uniform_for(count).expect("vector is uniform");
+    let total = layout.total_bytes(count) as usize;
     let src = vec![7u8; layout.footprint(count) as usize];
-    let mut dst = vec![0u8; layout.total_bytes(count) as usize];
-    let mut g = c.benchmark_group("hotpaths/gather_tier");
-    g.throughput(Throughput::Bytes(layout.total_bytes(count)));
-    g.bench_function("pack_uniform", |b| {
-        b.iter(|| pack::pack_into_uniform(black_box(&src), &plan, &mut dst))
+    let packed = vec![9u8; total];
+    let mut dst = vec![0u8; total];
+    let mut out = vec![0u8; layout.footprint(count) as usize];
+    let mut g = c.benchmark_group(group);
+    g.throughput(Throughput::Bytes(total as u64));
+    g.bench_function(names[0], |b| {
+        b.iter(|| pack::pack_into(black_box(&src), layout, count, &mut dst))
     });
     g.bench_function("pack_generic_loop", |b| {
-        b.iter(|| pack::pack_into_generic(black_box(&src), &layout, count, &mut dst))
+        b.iter(|| pack::pack_into_generic(black_box(&src), layout, count, &mut dst))
     });
-    g.bench_function("unpack_uniform", |b| {
-        let packed = vec![9u8; layout.total_bytes(count) as usize];
-        let mut out = vec![0u8; layout.footprint(count) as usize];
-        b.iter(|| pack::unpack_uniform(black_box(&packed), &plan, &mut out))
+    g.bench_function(names[1], |b| {
+        b.iter(|| pack::unpack(black_box(&packed), layout, count, &mut out))
     });
-
-    // The same tier inside the device pools (what the cluster's staged
-    // copies hit): gather 4096 runs into a contiguous region of one pool.
-    let span = layout.footprint(count).max(1);
-    let total = layout.total_bytes(count);
-    let mut pool = MemPool::new(span + total + 64, DataMode::Full);
-    let region = pool.alloc(span, 64);
-    let packed = pool.alloc(total, 64);
-    let runs = FixedRuns {
-        first: region.addr + plan.first,
-        stride: plan.stride,
-        len: plan.len,
-        runs: plan.runs,
-    };
-    g.bench_function("mempool_gather_uniform", |b| {
-        b.iter(|| black_box(pool.gather_uniform(black_box(runs), packed.addr)))
-    });
-    g.bench_function("mempool_gather_iter", |b| {
-        b.iter(|| {
-            black_box(pool.gather_iter(
-                layout.abs_segments(black_box(region.addr), count),
-                packed.addr,
-            ))
-        })
+    g.bench_function("memcpy", |b| {
+        b.iter(|| dst.copy_from_slice(black_box(&src[..total])))
     });
     g.finish();
 }
 
-/// The block-uniform tier against the generic segment walk on the same
-/// wide-run layout: 2048 72-byte runs at a 120-byte stride (a blocklen-9
-/// double vector — runs past `FIXED_RUN_WIDTH_MAX`, so the layout
-/// compiler classifies it BlockUniform and the copy moves each run as
-/// fixed 64-byte chunks plus a tail instead of walking the per-segment
-/// offset table). Runs this size keep per-run bookkeeping visible; much
-/// wider runs converge to memory bandwidth on every path.
-fn bench_block_uniform_tier(c: &mut Criterion) {
-    use fusedpack_datatype::CopyPlan;
-    let layout = Layout::of(&TypeBuilder::vector(2048, 9, 15, TypeBuilder::double()));
-    let count = 1u64;
-    let plan = match layout.plan_for(count) {
-        CopyPlan::BlockUniform(p) => p,
-        other => panic!("wide-run vector must classify BlockUniform, got {other:?}"),
-    };
-    let src = vec![7u8; layout.footprint(count) as usize];
-    let mut dst = vec![0u8; layout.total_bytes(count) as usize];
-    let mut g = c.benchmark_group("hotpaths/block_uniform");
-    g.throughput(Throughput::Bytes(layout.total_bytes(count)));
-    g.bench_function("pack_block_uniform", |b| {
-        b.iter(|| pack::pack_into_block_uniform(black_box(&src), &plan, &mut dst))
-    });
-    g.bench_function("pack_generic_loop", |b| {
-        b.iter(|| pack::pack_into_generic(black_box(&src), &layout, count, &mut dst))
-    });
-    g.bench_function("unpack_block_uniform", |b| {
-        let packed = vec![9u8; layout.total_bytes(count) as usize];
-        let mut out = vec![0u8; layout.footprint(count) as usize];
-        b.iter(|| pack::unpack_block_uniform(black_box(&packed), &plan, &mut out))
-    });
+/// The FixedRuns tier: 4096 16-byte runs at a 24-byte stride (a
+/// blocklen-2 double vector), moved as const-width `[u8; 16]` copies.
+fn bench_gather_tier(c: &mut Criterion) {
+    let layout = Layout::of(&TypeBuilder::vector(4096, 2, 3, TypeBuilder::double()));
+    assert_eq!(layout.plan_for(1).class(), LayoutClass::FixedRuns);
+    bench_executor(
+        c,
+        "hotpaths/gather_tier",
+        ["pack_uniform", "unpack_uniform"],
+        &layout,
+    );
+}
 
-    // The same tier inside the device pools: the >32-byte dispatch arm of
-    // the strided gather (what the cluster's staged copies hit for
-    // BlockUniform plans) against the segment-iterator walk.
-    let span = layout.footprint(count).max(1);
-    let total = layout.total_bytes(count);
-    let mut pool = MemPool::new(span + total + 64, DataMode::Full);
-    let region = pool.alloc(span, 64);
-    let packed = pool.alloc(total, 64);
-    let runs = FixedRuns {
-        first: region.addr + plan.first,
-        stride: plan.stride,
-        len: plan.len,
-        runs: plan.runs,
-    };
-    g.bench_function("mempool_gather_block", |b| {
-        b.iter(|| black_box(pool.gather_uniform(black_box(runs), packed.addr)))
-    });
-    g.bench_function("mempool_gather_iter", |b| {
-        b.iter(|| {
-            black_box(pool.gather_iter(
-                layout.abs_segments(black_box(region.addr), count),
-                packed.addr,
-            ))
-        })
-    });
-    g.finish();
+/// The BlockUniform tier: 2048 72-byte runs at a 120-byte stride (a
+/// blocklen-9 double vector, runs past `FIXED_RUN_WIDTH_MAX`), each moved
+/// as fixed 64-byte chunks plus a tail. Runs this size keep per-run
+/// bookkeeping visible; much wider runs converge to memory bandwidth on
+/// every path.
+fn bench_block_uniform_tier(c: &mut Criterion) {
+    let layout = Layout::of(&TypeBuilder::vector(2048, 9, 15, TypeBuilder::double()));
+    assert_eq!(layout.plan_for(1).class(), LayoutClass::BlockUniform);
+    bench_executor(
+        c,
+        "hotpaths/block_uniform",
+        ["pack_block_uniform", "unpack_block_uniform"],
+        &layout,
+    );
+}
+
+/// The Generic tier on `specfem3d_cm(512)`, the halo type the benchmark's
+/// byte-moving workload sends: the segment-table walk over 1536 scattered
+/// floats.
+fn bench_generic_tier(c: &mut Criterion) {
+    let layout = Layout::of(&specfem3d_cm(512).desc);
+    assert_eq!(layout.plan_for(1).class(), LayoutClass::Generic);
+    bench_executor(c, "hotpaths/generic", ["pack", "unpack"], &layout);
 }
 
 /// One scheduler service cycle: 64 enqueues with a threshold check after
@@ -661,6 +615,7 @@ criterion_group!(
     bench_staging_pool,
     bench_staging_pool_mixed,
     bench_gather_tier,
+    bench_generic_tier,
     bench_block_uniform_tier,
     bench_scheduler,
     bench_fault_hooks,

@@ -3,10 +3,10 @@
 //! contiguity/uniformity *classification*, and a precomputed copy plan.
 //!
 //! This is stage 2 of the datatype pipeline (`TypeDesc` → [`LayoutIr`] →
-//! `CompiledLayout`). Everything downstream — `gpu::pack/unpack`, the
-//! uniform-stride tier, `MemPool` gather/scatter, the scheduler's shape
-//! accounting — consumes the compiled form instead of re-deriving
-//! structure per call site: resolving the copy tier for a message is one
+//! `CompiledLayout`). Everything downstream — the copy executor in
+//! [`crate::pack`], the scheduler's shape accounting — consumes the
+//! compiled form instead of re-deriving structure per call site:
+//! resolving the copy tier for a message is one
 //! [`CompiledLayout::plan_for`] call (a classification match plus one
 //! multiply), not a fresh scan of the segment table.
 //!
@@ -340,15 +340,14 @@ impl CompiledLayout {
     }
 
     /// Absolute `(address, len)` segments for `count` elements based at
-    /// `base`, in pack order. This is the gather/scatter plan handed to the
-    /// memory pools.
+    /// `base`, in pack order.
     pub fn absolute_segments(&self, base: u64, count: u64) -> Vec<(u64, u64)> {
         self.abs_segments(base, count).collect()
     }
 
     /// Iterator form of [`Self::absolute_segments`]: yields the same
     /// `(address, len)` plan in the same order without materialising a
-    /// `Vec` — the allocation-free path for per-message gather/scatter.
+    /// `Vec`.
     pub fn abs_segments(&self, base: u64, count: u64) -> AbsSegments<'_> {
         AbsSegments {
             layout: self,

@@ -1,10 +1,26 @@
-//! Host-side reference pack/unpack.
+//! The copy executor: the only code in the workspace that walks a
+//! [`CopyPlan`].
 //!
-//! The ground truth for every packing engine in the workspace: tests verify
-//! the simulated GPU gather/scatter paths and the wire protocols against
-//! these functions, and the CPU-driven (GDRCopy) paths use them directly.
+//! [`pack_into`] gathers `count` elements of a layout from a byte image
+//! into a packed buffer; [`unpack`] scatters a packed buffer back out.
+//! Plans are relative to the first element's base address, so both take
+//! slices whose index 0 is that base: every data-movement site in the
+//! cluster (MPI_Pack/Unpack, staging copies, DirectIPC) hands in region
+//! slices taken from its memory pools. Each tier runs exactly once here:
+//!
+//! * `Memcpy` — one copy;
+//! * `FixedRuns` — runs of at most [`crate::compile::FIXED_RUN_WIDTH_MAX`]
+//!   bytes at a constant stride, as fixed-width (const-generic) moves for
+//!   the power-of-two widths;
+//! * `BlockUniform` — wider runs at a constant stride, each moved as
+//!   64-byte chunks plus one tail;
+//! * `Generic` — the segment-table walk driven by the layout's
+//!   packed-offset prefix sums.
+//!
+//! [`pack_into_generic`] and [`unpack_generic`] are the reference oracle
+//! the tests and benches compare the tiers against.
 
-use crate::compile::CopyPlan;
+use crate::compile::{CopyPlan, FIXED_RUN_WIDTH_MAX};
 use crate::layout::{Layout, UniformPlan};
 
 /// Pack `count` elements laid out per `layout` starting at `src\[0\]` into a
@@ -16,15 +32,7 @@ pub fn pack(src: &[u8], layout: &Layout, count: u64) -> Vec<u8> {
 }
 
 /// Pack into a caller-provided buffer of exactly `layout.total_bytes(count)`
-/// bytes.
-///
-/// Dispatches on the layout's precomputed [`CopyPlan`] — four tiers,
-/// decided once at compile time: fully contiguous layouts (single gapless
-/// segment, gapless tiling) take a single-`memcpy` fast path; block-uniform
-/// layouts (equal large runs a constant stride apart) take a fixed-stride
-/// loop of chunked inner copies; fixed-run layouts (equal small runs) take
-/// const-generic fixed-width moves; everything else runs the generic
-/// segment loop driven by the layout's prefix sums.
+/// bytes, dispatching on the layout's precomputed [`CopyPlan`].
 pub fn pack_into(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
     assert_eq!(
         dst.len() as u64,
@@ -36,106 +44,101 @@ pub fn pack_into(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
             let n = dst.len();
             dst.copy_from_slice(&src[..n]);
         }
-        CopyPlan::BlockUniform(plan) => pack_into_block_uniform(src, &plan, dst),
-        CopyPlan::FixedRuns(plan) => pack_into_uniform(src, &plan, dst),
+        CopyPlan::BlockUniform(plan) | CopyPlan::FixedRuns(plan) => match plan.len {
+            2 => gather_runs(src, &plan, dst, copy_fixed::<2>),
+            4 => gather_runs(src, &plan, dst, copy_fixed::<4>),
+            8 => gather_runs(src, &plan, dst, copy_fixed::<8>),
+            16 => gather_runs(src, &plan, dst, copy_fixed::<16>),
+            32 => gather_runs(src, &plan, dst, copy_fixed::<32>),
+            n if n > FIXED_RUN_WIDTH_MAX => gather_runs(src, &plan, dst, copy_chunked),
+            _ => gather_runs(src, &plan, dst, copy_run),
+        },
         CopyPlan::Generic => pack_into_generic(src, layout, count, dst),
     }
 }
 
-/// The fixed-stride middle tier: `plan.runs` copies of `plan.len` bytes at
-/// constant source stride. Widths up to 32 bytes dispatch to const-generic
-/// bodies so each run is a fixed-size (register-width, SIMD-friendly) move
-/// instead of a variable-length `memcpy` call.
-pub fn pack_into_uniform(src: &[u8], plan: &UniformPlan, dst: &mut [u8]) {
-    debug_assert_eq!(dst.len() as u64, plan.runs * plan.len);
-    match plan.len {
-        2 => gather_fixed::<2>(src, plan, dst),
-        4 => gather_fixed::<4>(src, plan, dst),
-        8 => gather_fixed::<8>(src, plan, dst),
-        16 => gather_fixed::<16>(src, plan, dst),
-        32 => gather_fixed::<32>(src, plan, dst),
-        _ => {
-            let len = plan.len as usize;
-            let stride = plan.stride as usize;
-            let mut lo = plan.first as usize;
-            for chunk in dst.chunks_exact_mut(len) {
-                chunk.copy_from_slice(&src[lo..lo + len]);
-                lo += stride;
-            }
+/// Unpack a contiguous buffer into `count` elements laid out per `layout`
+/// starting at `dst\[0\]`. Bytes outside the layout's segments are untouched.
+pub fn unpack(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
+    assert_eq!(
+        src.len() as u64,
+        layout.total_bytes(count),
+        "source size mismatch"
+    );
+    match layout.plan_for(count) {
+        CopyPlan::Memcpy { .. } => {
+            let n = src.len();
+            dst[..n].copy_from_slice(src);
         }
+        CopyPlan::BlockUniform(plan) | CopyPlan::FixedRuns(plan) => match plan.len {
+            2 => scatter_runs(src, &plan, dst, copy_fixed::<2>),
+            4 => scatter_runs(src, &plan, dst, copy_fixed::<4>),
+            8 => scatter_runs(src, &plan, dst, copy_fixed::<8>),
+            16 => scatter_runs(src, &plan, dst, copy_fixed::<16>),
+            32 => scatter_runs(src, &plan, dst, copy_fixed::<32>),
+            n if n > FIXED_RUN_WIDTH_MAX => scatter_runs(src, &plan, dst, copy_chunked),
+            _ => scatter_runs(src, &plan, dst, copy_run),
+        },
+        CopyPlan::Generic => unpack_generic(src, layout, count, dst),
     }
 }
 
-#[inline]
-fn gather_fixed<const N: usize>(src: &[u8], plan: &UniformPlan, dst: &mut [u8]) {
-    let stride = plan.stride as usize;
-    let mut lo = plan.first as usize;
-    for chunk in dst.chunks_exact_mut(N) {
-        let run: &[u8; N] = src[lo..lo + N].try_into().expect("run width");
-        chunk.copy_from_slice(run);
-        lo += stride;
-    }
-}
-
-/// The block-uniform tier: `plan.runs` copies of a *large* fixed run
-/// length (> [`crate::compile::FIXED_RUN_WIDTH_MAX`] bytes) at constant
-/// source stride. Each run is moved in fixed 64-byte chunks — a
-/// SIMD-friendly shape the compiler turns into full-width vector moves —
-/// with one variable tail copy, avoiding both the per-run `memcpy` call
-/// of the fallback loop and the per-segment table walk of the generic
-/// tier.
-pub fn pack_into_block_uniform(src: &[u8], plan: &UniformPlan, dst: &mut [u8]) {
+/// Gather `plan.runs` runs of `plan.len` bytes at a constant source stride
+/// into the packed `dst`, moving each run with `copy`.
+#[inline(always)]
+fn gather_runs(src: &[u8], plan: &UniformPlan, dst: &mut [u8], copy: impl Fn(&[u8], &mut [u8])) {
     debug_assert_eq!(dst.len() as u64, plan.runs * plan.len);
-    let len = plan.len as usize;
-    let stride = plan.stride as usize;
+    let (len, stride) = (plan.len as usize, plan.stride as usize);
     let mut lo = plan.first as usize;
-    for chunk in dst.chunks_exact_mut(len) {
-        copy_run_chunked(&src[lo..lo + len], chunk);
+    for run in dst.chunks_exact_mut(len) {
+        copy(&src[lo..lo + len], run);
         lo += stride;
     }
 }
 
-/// Scatter counterpart of [`pack_into_block_uniform`].
-pub fn unpack_block_uniform(src: &[u8], plan: &UniformPlan, dst: &mut [u8]) {
+/// Scatter counterpart of [`gather_runs`]: the packed `src` out to runs at
+/// a constant destination stride.
+#[inline(always)]
+fn scatter_runs(src: &[u8], plan: &UniformPlan, dst: &mut [u8], copy: impl Fn(&[u8], &mut [u8])) {
     debug_assert_eq!(src.len() as u64, plan.runs * plan.len);
-    let len = plan.len as usize;
-    let stride = plan.stride as usize;
+    let (len, stride) = (plan.len as usize, plan.stride as usize);
     let mut lo = plan.first as usize;
-    for chunk in src.chunks_exact(len) {
-        copy_run_chunked(chunk, &mut dst[lo..lo + len]);
+    for run in src.chunks_exact(len) {
+        copy(run, &mut dst[lo..lo + len]);
         lo += stride;
     }
 }
 
-/// Copy one run as fixed 64-byte blocks plus a variable tail.
-#[inline]
-fn copy_run_chunked(src: &[u8], dst: &mut [u8]) {
+/// One run of compile-time width `N`: a register-width move instead of a
+/// variable-length `memcpy` call.
+#[inline(always)]
+fn copy_fixed<const N: usize>(src: &[u8], dst: &mut [u8]) {
+    let run: &[u8; N] = src.try_into().expect("run width");
+    dst.copy_from_slice(run);
+}
+
+/// One wide run as fixed 64-byte blocks (full-width vector moves) plus a
+/// variable tail.
+#[inline(always)]
+fn copy_chunked(src: &[u8], dst: &mut [u8]) {
     const CHUNK: usize = 64;
-    debug_assert_eq!(src.len(), dst.len());
     let mut i = 0;
     while i + CHUNK <= src.len() {
         let block: &[u8; CHUNK] = src[i..i + CHUNK].try_into().expect("chunk width");
         dst[i..i + CHUNK].copy_from_slice(block);
         i += CHUNK;
     }
-    if i < src.len() {
-        dst[i..].copy_from_slice(&src[i..]);
-    }
+    dst[i..].copy_from_slice(&src[i..]);
 }
 
-#[inline]
-fn scatter_fixed<const N: usize>(src: &[u8], plan: &UniformPlan, dst: &mut [u8]) {
-    let stride = plan.stride as usize;
-    let mut lo = plan.first as usize;
-    for chunk in src.chunks_exact(N) {
-        let run: &[u8; N] = chunk.try_into().expect("run width");
-        dst[lo..lo + N].copy_from_slice(run);
-        lo += stride;
-    }
+/// One run of any other width.
+#[inline(always)]
+fn copy_run(src: &[u8], dst: &mut [u8]) {
+    dst.copy_from_slice(src);
 }
 
-/// The generic segment loop behind [`pack_into`], without the contiguous
-/// fast path. Public so tests and benches can compare the two directly.
+/// The generic segment-table walk: the `Generic` tier, and the reference
+/// oracle every other tier is tested against.
 pub fn pack_into_generic(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
     assert_eq!(
         dst.len() as u64,
@@ -156,51 +159,8 @@ pub fn pack_into_generic(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]
     }
 }
 
-/// Unpack a contiguous buffer into `count` elements laid out per `layout`
-/// starting at `dst\[0\]`. Bytes outside the layout's segments are untouched.
-///
-/// Like [`pack_into`], fully contiguous layouts reduce to one `memcpy`.
-pub fn unpack(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
-    assert_eq!(
-        src.len() as u64,
-        layout.total_bytes(count),
-        "source size mismatch"
-    );
-    match layout.plan_for(count) {
-        CopyPlan::Memcpy { .. } => {
-            let n = src.len();
-            dst[..n].copy_from_slice(src);
-        }
-        CopyPlan::BlockUniform(plan) => unpack_block_uniform(src, &plan, dst),
-        CopyPlan::FixedRuns(plan) => unpack_uniform(src, &plan, dst),
-        CopyPlan::Generic => unpack_generic(src, layout, count, dst),
-    }
-}
-
-/// Fixed-stride counterpart of [`pack_into_uniform`] on the unpack side:
-/// scatter the packed image out at constant destination stride.
-pub fn unpack_uniform(src: &[u8], plan: &UniformPlan, dst: &mut [u8]) {
-    debug_assert_eq!(src.len() as u64, plan.runs * plan.len);
-    match plan.len {
-        2 => scatter_fixed::<2>(src, plan, dst),
-        4 => scatter_fixed::<4>(src, plan, dst),
-        8 => scatter_fixed::<8>(src, plan, dst),
-        16 => scatter_fixed::<16>(src, plan, dst),
-        32 => scatter_fixed::<32>(src, plan, dst),
-        _ => {
-            let len = plan.len as usize;
-            let stride = plan.stride as usize;
-            let mut lo = plan.first as usize;
-            for chunk in src.chunks_exact(len) {
-                dst[lo..lo + len].copy_from_slice(chunk);
-                lo += stride;
-            }
-        }
-    }
-}
-
-/// The generic segment loop behind [`unpack`], without the contiguous fast
-/// path. Public so tests and benches can compare the two directly.
+/// Scatter counterpart of [`pack_into_generic`]: the `Generic` tier of
+/// [`unpack`] and its reference oracle.
 pub fn unpack_generic(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
     assert_eq!(
         src.len() as u64,
@@ -332,9 +292,25 @@ mod tests {
         assert_eq!(scat_fast, scat_gen);
     }
 
+    /// Strategy: byte vectors whose single-element plan is `FixedRuns`
+    /// with runs of exactly `width` bytes.
+    fn fixed_runs(width: u64) -> impl Strategy<Value = std::sync::Arc<crate::typedesc::TypeDesc>> {
+        (2u64..8, 1u64..8).prop_map(move |(count, pad)| {
+            TypeBuilder::vector(count, width, width + pad, TypeBuilder::byte())
+        })
+    }
+
     /// Strategy: a random (but valid) datatype with modest sizes.
     fn arb_type() -> impl Strategy<Value = std::sync::Arc<crate::typedesc::TypeDesc>> {
         prop_oneof![
+            // One arm per fixed-width kernel, plus an odd width that takes
+            // the variable-length run copy.
+            fixed_runs(2),
+            fixed_runs(4),
+            fixed_runs(8),
+            fixed_runs(16),
+            fixed_runs(32),
+            fixed_runs(3),
             // Fully contiguous (pad = 0 hits the memcpy fast path when the
             // vector degenerates to one segment) and truly strided shapes.
             (1u64..16).prop_map(|n| TypeBuilder::contiguous(n, TypeBuilder::double())),
@@ -416,35 +392,56 @@ mod tests {
             prop_assert_eq!(pack(&src, &l, count).len() as u64, t.size() * count);
         }
 
-        /// The dispatching pack (fast path when eligible) and the generic
-        /// segment loop produce identical bytes for arbitrary layouts.
+        /// The dispatching pack and the generic segment walk produce
+        /// identical bytes for arbitrary layouts, reading from a region
+        /// that starts `off` bytes into a larger buffer.
         #[test]
-        fn pack_fast_path_matches_generic(t in arb_type(), count in 1u64..4, seed in 0u64..1000) {
+        fn pack_fast_path_matches_generic(
+            t in arb_type(),
+            count in 1u64..4,
+            off in 0usize..64,
+            seed in 0u64..1000,
+        ) {
             let l = Layout::of(&t);
             let mut rng = fusedpack_sim::Pcg32::seeded(seed);
-            let mut src = vec![0u8; l.footprint(count) as usize];
-            rng.fill_bytes(&mut src);
+            let mut buf = vec![0u8; off + l.footprint(count) as usize + 16];
+            rng.fill_bytes(&mut buf);
 
             let mut fast = vec![0u8; l.total_bytes(count) as usize];
             let mut generic = fast.clone();
-            pack_into(&src, &l, count, &mut fast);
-            pack_into_generic(&src, &l, count, &mut generic);
+            pack_into(&buf[off..], &l, count, &mut fast);
+            pack_into_generic(&buf[off..], &l, count, &mut generic);
             prop_assert_eq!(fast, generic);
         }
 
-        /// Same guarantee on the unpack side, including untouched gap bytes.
+        /// Same guarantee on the unpack side, into a region `off` bytes
+        /// into a larger buffer: every byte outside the layout's segments,
+        /// before, between and after them, is left untouched.
         #[test]
-        fn unpack_fast_path_matches_generic(t in arb_type(), count in 1u64..4, seed in 0u64..1000) {
+        fn unpack_fast_path_matches_generic(
+            t in arb_type(),
+            count in 1u64..4,
+            off in 0usize..64,
+            seed in 0u64..1000,
+        ) {
             let l = Layout::of(&t);
             let mut rng = fusedpack_sim::Pcg32::seeded(seed);
             let mut packed = vec![0u8; l.total_bytes(count) as usize];
             rng.fill_bytes(&mut packed);
 
-            let mut fast = vec![0xEE; l.footprint(count) as usize];
+            let mut fast = vec![0xEE; off + l.footprint(count) as usize + 16];
             let mut generic = fast.clone();
-            unpack(&packed, &l, count, &mut fast);
-            unpack_generic(&packed, &l, count, &mut generic);
-            prop_assert_eq!(fast, generic);
+            unpack(&packed, &l, count, &mut fast[off..]);
+            unpack_generic(&packed, &l, count, &mut generic[off..]);
+            prop_assert_eq!(&fast, &generic);
+
+            let mut touched = vec![false; fast.len()];
+            for (addr, len) in l.absolute_segments(off as u64, count) {
+                touched[addr as usize..(addr + len) as usize].fill(true);
+            }
+            for (i, &b) in fast.iter().enumerate() {
+                prop_assert!(touched[i] || b == 0xEE, "gap byte {} overwritten", i);
+            }
         }
     }
 }

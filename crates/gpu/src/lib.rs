@@ -9,9 +9,10 @@
 //!
 //! ## What is modelled vs. real
 //!
-//! * **Bytes are real.** [`mem::MemPool`] holds actual memory; pack/unpack/
-//!   copy operations really move the bytes (unless [`mem::DataMode::ModelOnly`]
-//!   is selected for timing-only benchmark runs).
+//! * **Bytes are real.** [`mem::MemPool`] holds actual memory, and the
+//!   datatype crate's copy executor really moves it over slices the pool
+//!   hands out (unless [`mem::DataMode::ModelOnly`] is selected for
+//!   timing-only benchmark runs). This crate holds no copy kernel.
 //! * **Time is modelled.** Kernel durations come from [`kernel`]'s cost
 //!   model, whose constants (in [`arch::GpuArch`]) are calibrated against the
 //!   paper's Fig. 1 (kernel launch ≈ 5–10 µs dominating µs-scale packing

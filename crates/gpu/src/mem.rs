@@ -50,12 +50,12 @@ impl DevPtr {
     }
 }
 
-/// A fixed-stride copy plan: `runs` runs of `len` bytes starting at
-/// absolute address `first`, each `stride` bytes after the previous. The
-/// pool-side mirror of the datatype crate's commit-time uniform
-/// classification (kept as plain numbers so the two crates stay
-/// decoupled); the middle copy tier between "one memcpy" and the generic
-/// per-segment walk.
+/// A fixed-stride run list: `runs` runs of `len` bytes starting at
+/// absolute address `first`, each `stride` bytes after the previous.
+///
+/// Kept only because the repository benchmark (`perfbench/`) builds it for
+/// [`MemPool::gather_into_uniform`] and [`MemPool::scatter_from_slice_uniform`];
+/// the cluster's copies run the datatype crate's executor instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FixedRuns {
     pub first: u64,
@@ -70,164 +70,10 @@ impl FixedRuns {
     pub fn total_bytes(&self) -> u64 {
         self.len * self.runs
     }
-}
 
-/// Fixed-width strided copy within one buffer: the run length is a
-/// compile-time constant, so each iteration is a register-width move
-/// (auto-vectorizable) instead of a variable-length `memcpy` call.
-#[inline]
-fn runs_within<const N: usize>(
-    bytes: &mut [u8],
-    mut src: usize,
-    src_stride: usize,
-    mut dst: usize,
-    dst_stride: usize,
-    runs: u64,
-) {
-    for _ in 0..runs {
-        let run: [u8; N] = bytes[src..src + N].try_into().expect("run width");
-        bytes[dst..dst + N].copy_from_slice(&run);
-        src += src_stride;
-        dst += dst_stride;
-    }
-}
-
-/// Strided copy within one buffer, dispatching common power-of-two run
-/// widths to the const-generic body.
-fn strided_within(
-    bytes: &mut [u8],
-    src: usize,
-    src_stride: usize,
-    dst: usize,
-    dst_stride: usize,
-    len: usize,
-    runs: u64,
-) {
-    match len {
-        2 => runs_within::<2>(bytes, src, src_stride, dst, dst_stride, runs),
-        4 => runs_within::<4>(bytes, src, src_stride, dst, dst_stride, runs),
-        8 => runs_within::<8>(bytes, src, src_stride, dst, dst_stride, runs),
-        16 => runs_within::<16>(bytes, src, src_stride, dst, dst_stride, runs),
-        32 => runs_within::<32>(bytes, src, src_stride, dst, dst_stride, runs),
-        _ if len > 32 => block_within(bytes, src, src_stride, dst, dst_stride, len, runs),
-        _ => {
-            let (mut s, mut d) = (src, dst);
-            for _ in 0..runs {
-                bytes.copy_within(s..s + len, d);
-                s += src_stride;
-                d += dst_stride;
-            }
-        }
-    }
-}
-
-/// Block-uniform tier within one buffer: large runs (> 32 bytes) move as
-/// fixed 64-byte chunks (stack-staged, so overlapping source/destination
-/// ranges are safe and each chunk is a full-width vector move) plus one
-/// variable tail.
-fn block_within(
-    bytes: &mut [u8],
-    mut src: usize,
-    src_stride: usize,
-    mut dst: usize,
-    dst_stride: usize,
-    len: usize,
-    runs: u64,
-) {
-    const CHUNK: usize = 64;
-    for _ in 0..runs {
-        let mut i = 0;
-        while i + CHUNK <= len {
-            let tmp: [u8; CHUNK] = bytes[src + i..src + i + CHUNK]
-                .try_into()
-                .expect("chunk width");
-            bytes[dst + i..dst + i + CHUNK].copy_from_slice(&tmp);
-            i += CHUNK;
-        }
-        if i < len {
-            bytes.copy_within(src + i..src + len, dst + i);
-        }
-        src += src_stride;
-        dst += dst_stride;
-    }
-}
-
-/// Fixed-width strided copy between two buffers.
-#[inline]
-fn runs_across<const N: usize>(
-    src: &[u8],
-    mut s: usize,
-    src_stride: usize,
-    dst: &mut [u8],
-    mut d: usize,
-    dst_stride: usize,
-    runs: u64,
-) {
-    for _ in 0..runs {
-        let run: &[u8; N] = src[s..s + N].try_into().expect("run width");
-        dst[d..d + N].copy_from_slice(run);
-        s += src_stride;
-        d += dst_stride;
-    }
-}
-
-/// Strided copy between two buffers, dispatching common run widths to the
-/// const-generic body.
-#[allow(clippy::too_many_arguments)]
-fn strided_across(
-    src: &[u8],
-    s: usize,
-    src_stride: usize,
-    dst: &mut [u8],
-    d: usize,
-    dst_stride: usize,
-    len: usize,
-    runs: u64,
-) {
-    match len {
-        2 => runs_across::<2>(src, s, src_stride, dst, d, dst_stride, runs),
-        4 => runs_across::<4>(src, s, src_stride, dst, d, dst_stride, runs),
-        8 => runs_across::<8>(src, s, src_stride, dst, d, dst_stride, runs),
-        16 => runs_across::<16>(src, s, src_stride, dst, d, dst_stride, runs),
-        32 => runs_across::<32>(src, s, src_stride, dst, d, dst_stride, runs),
-        _ if len > 32 => block_across(src, s, src_stride, dst, d, dst_stride, len, runs),
-        _ => {
-            let (mut s, mut d) = (s, d);
-            for _ in 0..runs {
-                dst[d..d + len].copy_from_slice(&src[s..s + len]);
-                s += src_stride;
-                d += dst_stride;
-            }
-        }
-    }
-}
-
-/// Block-uniform tier between two buffers: fixed 64-byte chunks plus one
-/// variable tail per run.
-#[allow(clippy::too_many_arguments)]
-fn block_across(
-    src: &[u8],
-    mut s: usize,
-    src_stride: usize,
-    dst: &mut [u8],
-    mut d: usize,
-    dst_stride: usize,
-    len: usize,
-    runs: u64,
-) {
-    const CHUNK: usize = 64;
-    for _ in 0..runs {
-        let mut i = 0;
-        while i + CHUNK <= len {
-            let run: &[u8; CHUNK] = src[s + i..s + i + CHUNK].try_into().expect("chunk width");
-            dst[d + i..d + i + CHUNK].copy_from_slice(run);
-            i += CHUNK;
-        }
-        if i < len {
-            dst[d + i..d + len].copy_from_slice(&src[s + i..s + len]);
-        }
-        s += src_stride;
-        d += dst_stride;
+    /// The `(address, len)` segments the plan stands for.
+    fn segments(self) -> impl Iterator<Item = (u64, u64)> {
+        (0..self.runs).map(move |i| (self.first + i * self.stride, self.len))
     }
 }
 
@@ -302,331 +148,108 @@ impl MemPool {
         self.cursor = 0;
     }
 
+    /// Where `ptr`'s bytes sit in the backing store, or `None` in
+    /// `ModelOnly` mode. Every accessor goes through here: it is the one
+    /// place the pool decides that a copy moves nothing.
+    #[inline]
+    fn range(&self, ptr: DevPtr) -> Option<std::ops::Range<usize>> {
+        (self.mode == DataMode::Full).then(|| ptr.addr as usize..ptr.end() as usize)
+    }
+
     /// Read the bytes behind `ptr`. Empty in `ModelOnly` mode.
     pub fn read(&self, ptr: DevPtr) -> &[u8] {
-        match self.mode {
-            DataMode::Full => &self.bytes[ptr.addr as usize..ptr.end() as usize],
-            DataMode::ModelOnly => &[],
+        self.range(ptr).map_or(&[], |r| &self.bytes[r])
+    }
+
+    /// Mutable view of the bytes behind `ptr`. Empty in `ModelOnly` mode.
+    pub fn read_mut(&mut self, ptr: DevPtr) -> &mut [u8] {
+        match self.range(ptr) {
+            Some(r) => &mut self.bytes[r],
+            None => &mut [],
         }
     }
 
-    /// Overwrite the bytes behind `ptr`.
-    pub fn write(&mut self, ptr: DevPtr, data: &[u8]) {
-        if self.mode == DataMode::ModelOnly {
-            return;
-        }
-        assert_eq!(
-            data.len() as u64,
-            ptr.len,
-            "write length mismatch: {} vs {:?}",
-            data.len(),
-            ptr
+    /// Borrow two allocations of this pool at once: `src` to read, `dst`
+    /// to write (a copy within one pool). Both are empty in `ModelOnly`
+    /// mode.
+    ///
+    /// Panics if the two regions overlap.
+    pub fn split_mut(&mut self, src: DevPtr, dst: DevPtr) -> (&[u8], &mut [u8]) {
+        assert!(
+            src.end() <= dst.addr || dst.end() <= src.addr,
+            "split_mut: {src:?} overlaps {dst:?}"
         );
-        self.bytes[ptr.addr as usize..ptr.end() as usize].copy_from_slice(data);
-    }
-
-    /// Copy `len` bytes within this pool.
-    pub fn copy_within(&mut self, src: u64, dst: u64, len: u64) {
-        if self.mode == DataMode::ModelOnly || len == 0 {
-            return;
+        let (Some(s), Some(d)) = (self.range(src), self.range(dst)) else {
+            return (&[], &mut []);
+        };
+        if s.start < d.start {
+            let (lo, hi) = self.bytes.split_at_mut(d.start);
+            (&lo[s], &mut hi[..d.len()])
+        } else {
+            let (lo, hi) = self.bytes.split_at_mut(s.start);
+            (&hi[..s.len()], &mut lo[d])
         }
-        self.bytes
-            .copy_within(src as usize..(src + len) as usize, dst as usize);
     }
 
-    /// Copy between two pools (e.g. host→device). No-op if either side is
-    /// `ModelOnly`.
-    pub fn copy_between(src: &MemPool, src_off: u64, dst: &mut MemPool, dst_off: u64, len: u64) {
-        if src.mode == DataMode::ModelOnly || dst.mode == DataMode::ModelOnly || len == 0 {
-            return;
+    /// Overwrite the bytes behind `ptr`. A no-op in `ModelOnly` mode.
+    pub fn write(&mut self, ptr: DevPtr, data: &[u8]) {
+        if let Some(r) = self.range(ptr) {
+            assert_eq!(
+                data.len() as u64,
+                ptr.len,
+                "write length mismatch: {} vs {:?}",
+                data.len(),
+                ptr
+            );
+            self.bytes[r].copy_from_slice(data);
         }
-        dst.bytes[dst_off as usize..(dst_off + len) as usize]
-            .copy_from_slice(&src.bytes[src_off as usize..(src_off + len) as usize]);
     }
 
-    /// Gather scattered segments from `src` into a contiguous region of
-    /// `dst` (e.g. GDRCopy packing GPU memory into a host staging buffer).
-    pub fn gather_between(
-        src: &MemPool,
-        segments: &[(u64, u64)],
-        dst: &mut MemPool,
-        dst_off: u64,
-    ) -> u64 {
-        Self::gather_between_iter(src, segments.iter().copied(), dst, dst_off)
-    }
+    // The four segment-list copies below are kept only because the
+    // benchmark (`perfbench/`) calls them. They are plain per-segment
+    // loops; the cluster moves its bytes with the datatype crate's
+    // executor over `read`/`read_mut`/`split_mut` slices.
 
-    /// [`Self::gather_between`] over any segment iterator — the
-    /// allocation-free form used with gather/scatter plans generated on
-    /// the fly (e.g. a layout's `abs_segments` iterator) instead of
-    /// materialised into a `Vec`.
-    pub fn gather_between_iter(
-        src: &MemPool,
-        segments: impl IntoIterator<Item = (u64, u64)>,
-        dst: &mut MemPool,
-        dst_off: u64,
-    ) -> u64 {
-        if src.mode == DataMode::ModelOnly || dst.mode == DataMode::ModelOnly {
-            return segments.into_iter().map(|(_, len)| len).sum();
-        }
-        let mut out = dst_off as usize;
-        for (addr, len) in segments {
-            dst.bytes[out..out + len as usize]
-                .copy_from_slice(&src.bytes[addr as usize..(addr + len) as usize]);
-            out += len as usize;
-        }
-        out as u64 - dst_off
-    }
-
-    /// Scatter a contiguous region of `src` out to segments of `dst`
-    /// (e.g. GDRCopy unpacking a host buffer into GPU memory).
-    pub fn scatter_between(
-        src: &MemPool,
-        src_off: u64,
-        dst: &mut MemPool,
-        segments: &[(u64, u64)],
-    ) -> u64 {
-        Self::scatter_between_iter(src, src_off, dst, segments.iter().copied())
-    }
-
-    /// [`Self::scatter_between`] over any segment iterator.
-    pub fn scatter_between_iter(
-        src: &MemPool,
-        src_off: u64,
-        dst: &mut MemPool,
-        segments: impl IntoIterator<Item = (u64, u64)>,
-    ) -> u64 {
-        if src.mode == DataMode::ModelOnly || dst.mode == DataMode::ModelOnly {
-            return segments.into_iter().map(|(_, len)| len).sum();
-        }
-        let mut inp = src_off as usize;
-        for (addr, len) in segments {
-            dst.bytes[addr as usize..(addr + len) as usize]
-                .copy_from_slice(&src.bytes[inp..inp + len as usize]);
-            inp += len as usize;
-        }
-        inp as u64 - src_off
-    }
-
-    /// Gather scattered segments into a fresh byte vector (used for
-    /// cross-device transfers where both pools are borrowed).
-    pub fn gather_to_vec(&self, segments: &[(u64, u64)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.gather_into(segments.iter().copied(), &mut out);
-        out
-    }
-
-    /// Gather scattered segments by *appending* to `out` — the pooled-buffer
-    /// form of [`Self::gather_to_vec`]: the caller owns (and can recycle)
-    /// the destination vector. Returns the payload byte count, which in
-    /// `ModelOnly` mode is tallied without touching `out`.
+    /// Gather `(addr, len)` segments by *appending* them to `out`. Returns
+    /// the payload byte count, which in `ModelOnly` mode is tallied
+    /// without touching `out`.
     pub fn gather_into(
         &self,
         segments: impl IntoIterator<Item = (u64, u64)>,
         out: &mut Vec<u8>,
     ) -> u64 {
-        if self.mode == DataMode::ModelOnly {
-            return segments.into_iter().map(|(_, len)| len).sum();
-        }
-        let mut total = 0u64;
+        let mut total = 0;
         for (addr, len) in segments {
-            out.extend_from_slice(&self.bytes[addr as usize..(addr + len) as usize]);
+            out.extend_from_slice(self.read(DevPtr { addr, len }));
             total += len;
         }
         total
     }
 
-    /// Scatter a contiguous byte slice out to segments of this pool.
-    pub fn scatter_from_slice(&mut self, data: &[u8], segments: &[(u64, u64)]) {
-        self.scatter_from_slice_iter(data, segments.iter().copied());
+    /// [`Self::gather_into`] over the runs of `plan`.
+    pub fn gather_into_uniform(&self, plan: FixedRuns, out: &mut Vec<u8>) -> u64 {
+        self.gather_into(plan.segments(), out)
     }
 
-    /// [`Self::scatter_from_slice`] over any segment iterator.
+    /// Scatter the contiguous `data` out to `(addr, len)` segments of this
+    /// pool. A no-op in `ModelOnly` mode.
     pub fn scatter_from_slice_iter(
         &mut self,
         data: &[u8],
         segments: impl IntoIterator<Item = (u64, u64)>,
     ) {
-        if self.mode == DataMode::ModelOnly || data.is_empty() {
-            return;
-        }
-        let mut inp = 0usize;
+        let mut inp = 0;
         for (addr, len) in segments {
-            self.bytes[addr as usize..(addr + len) as usize]
-                .copy_from_slice(&data[inp..inp + len as usize]);
+            if let Some(r) = self.range(DevPtr { addr, len }) {
+                self.bytes[r].copy_from_slice(&data[inp..inp + len as usize]);
+            }
             inp += len as usize;
         }
-        debug_assert_eq!(inp, data.len(), "segment total must match data length");
     }
 
-    /// Gather scattered `(src_offset, len)` segments into a contiguous region
-    /// starting at `dst` — the data movement a packing kernel performs.
-    /// Returns the number of bytes packed.
-    pub fn gather(&mut self, segments: &[(u64, u64)], dst: u64) -> u64 {
-        self.gather_iter(segments.iter().copied(), dst)
-    }
-
-    /// [`Self::gather`] over any segment iterator.
-    pub fn gather_iter(&mut self, segments: impl IntoIterator<Item = (u64, u64)>, dst: u64) -> u64 {
-        if self.mode == DataMode::ModelOnly {
-            return segments.into_iter().map(|(_, len)| len).sum();
-        }
-        let mut out = dst;
-        for (src, len) in segments {
-            self.bytes
-                .copy_within(src as usize..(src + len) as usize, out as usize);
-            out += len;
-        }
-        out - dst
-    }
-
-    /// Scatter a contiguous region starting at `src` out to `(dst_offset,
-    /// len)` segments — the data movement an unpacking kernel performs.
-    pub fn scatter(&mut self, src: u64, segments: &[(u64, u64)]) -> u64 {
-        self.scatter_iter(src, segments.iter().copied())
-    }
-
-    /// [`Self::scatter`] over any segment iterator.
-    pub fn scatter_iter(
-        &mut self,
-        src: u64,
-        segments: impl IntoIterator<Item = (u64, u64)>,
-    ) -> u64 {
-        if self.mode == DataMode::ModelOnly {
-            return segments.into_iter().map(|(_, len)| len).sum();
-        }
-        let mut inp = src;
-        for (dst, len) in segments {
-            self.bytes
-                .copy_within(inp as usize..(inp + len) as usize, dst as usize);
-            inp += len;
-        }
-        inp - src
-    }
-
-    /// [`Self::gather`] for a uniform fixed-stride layout: equivalent to
-    /// `gather_iter` over the plan's runs, but with a constant-width inner
-    /// loop instead of per-segment `memcpy` dispatch.
-    pub fn gather_uniform(&mut self, plan: FixedRuns, dst: u64) -> u64 {
-        if self.mode == DataMode::ModelOnly {
-            return plan.total_bytes();
-        }
-        strided_within(
-            &mut self.bytes,
-            plan.first as usize,
-            plan.stride as usize,
-            dst as usize,
-            plan.len as usize,
-            plan.len as usize,
-            plan.runs,
-        );
-        plan.total_bytes()
-    }
-
-    /// [`Self::scatter`] for a uniform fixed-stride layout.
-    pub fn scatter_uniform(&mut self, src: u64, plan: FixedRuns) -> u64 {
-        if self.mode == DataMode::ModelOnly {
-            return plan.total_bytes();
-        }
-        strided_within(
-            &mut self.bytes,
-            src as usize,
-            plan.len as usize,
-            plan.first as usize,
-            plan.stride as usize,
-            plan.len as usize,
-            plan.runs,
-        );
-        plan.total_bytes()
-    }
-
-    /// [`Self::gather_into`] for a uniform fixed-stride layout: appends
-    /// `plan.total_bytes()` to `out` in one resize, then fills it with the
-    /// fixed-width strided loop.
-    pub fn gather_into_uniform(&self, plan: FixedRuns, out: &mut Vec<u8>) -> u64 {
-        if self.mode == DataMode::ModelOnly {
-            return plan.total_bytes();
-        }
-        let start = out.len();
-        out.resize(start + plan.total_bytes() as usize, 0);
-        strided_across(
-            &self.bytes,
-            plan.first as usize,
-            plan.stride as usize,
-            &mut out[start..],
-            0,
-            plan.len as usize,
-            plan.len as usize,
-            plan.runs,
-        );
-        plan.total_bytes()
-    }
-
-    /// [`Self::scatter_from_slice`] for a uniform fixed-stride layout.
+    /// [`Self::scatter_from_slice_iter`] over the runs of `plan`.
     pub fn scatter_from_slice_uniform(&mut self, data: &[u8], plan: FixedRuns) {
-        if self.mode == DataMode::ModelOnly || data.is_empty() {
-            return;
-        }
-        debug_assert_eq!(
-            data.len() as u64,
-            plan.total_bytes(),
-            "plan total must match data length"
-        );
-        strided_across(
-            data,
-            0,
-            plan.len as usize,
-            &mut self.bytes,
-            plan.first as usize,
-            plan.stride as usize,
-            plan.len as usize,
-            plan.runs,
-        );
-    }
-
-    /// [`Self::gather_between`] for a uniform fixed-stride layout.
-    pub fn gather_between_uniform(
-        src: &MemPool,
-        plan: FixedRuns,
-        dst: &mut MemPool,
-        dst_off: u64,
-    ) -> u64 {
-        if src.mode == DataMode::ModelOnly || dst.mode == DataMode::ModelOnly {
-            return plan.total_bytes();
-        }
-        strided_across(
-            &src.bytes,
-            plan.first as usize,
-            plan.stride as usize,
-            &mut dst.bytes,
-            dst_off as usize,
-            plan.len as usize,
-            plan.len as usize,
-            plan.runs,
-        );
-        plan.total_bytes()
-    }
-
-    /// [`Self::scatter_between`] for a uniform fixed-stride layout.
-    pub fn scatter_between_uniform(
-        src: &MemPool,
-        src_off: u64,
-        dst: &mut MemPool,
-        plan: FixedRuns,
-    ) -> u64 {
-        if src.mode == DataMode::ModelOnly || dst.mode == DataMode::ModelOnly {
-            return plan.total_bytes();
-        }
-        strided_across(
-            &src.bytes,
-            src_off as usize,
-            plan.len as usize,
-            &mut dst.bytes,
-            plan.first as usize,
-            plan.stride as usize,
-            plan.len as usize,
-            plan.runs,
-        );
-        plan.total_bytes()
+        self.scatter_from_slice_iter(data, plan.segments());
     }
 }
 
@@ -672,102 +295,61 @@ mod tests {
     }
 
     #[test]
-    fn gather_packs_segments_in_order() {
-        let mut p = MemPool::new(64, DataMode::Full);
-        let src = p.alloc(16, 1);
-        let dst = p.alloc(8, 1);
-        p.write(src, &(0..16).collect::<Vec<u8>>());
-        // Gather bytes at offsets 2..4, 8..10, 12..16.
-        let n = p.gather(
-            &[(src.addr + 2, 2), (src.addr + 8, 2), (src.addr + 12, 4)],
-            dst.addr,
-        );
-        assert_eq!(n, 8);
-        assert_eq!(p.read(dst), &[2, 3, 8, 9, 12, 13, 14, 15]);
-    }
-
-    #[test]
-    fn scatter_inverts_gather() {
-        let mut p = MemPool::new(128, DataMode::Full);
-        let orig = p.alloc(16, 1);
-        let packed = p.alloc(8, 1);
-        let out = p.alloc(16, 1);
-        p.write(orig, &(100..116).collect::<Vec<u8>>());
-        let segs_src: Vec<(u64, u64)> = vec![(orig.addr + 1, 3), (orig.addr + 10, 5)];
-        p.gather(&segs_src, packed.addr);
-        let segs_dst: Vec<(u64, u64)> = vec![(out.addr + 1, 3), (out.addr + 10, 5)];
-        p.scatter(packed.addr, &segs_dst);
-        let o = p.read(out);
-        assert_eq!(&o[1..4], &[101, 102, 103]);
-        assert_eq!(&o[10..15], &[110, 111, 112, 113, 114]);
-    }
-
-    #[test]
     fn model_only_pool_is_storage_free() {
         let mut p = MemPool::new(1 << 40, DataMode::ModelOnly); // 1 TiB, no alloc
-        let ptr = p.alloc(1 << 30, 256);
-        assert!(p.read(ptr).is_empty());
-        p.write(ptr, &[]); // no-op, no panic
-        assert_eq!(p.gather(&[(0, 100), (200, 50)], 0), 150);
-    }
-
-    #[test]
-    fn gather_and_scatter_between_pools() {
-        let mut dev = MemPool::new(64, DataMode::Full);
-        let mut host = MemPool::new(64, DataMode::Full);
-        let src = dev.alloc(16, 1);
-        dev.write(src, &(0..16).collect::<Vec<u8>>());
-        let segs = vec![(src.addr + 1, 2u64), (src.addr + 8, 3u64)];
-        let n = MemPool::gather_between(&dev, &segs, &mut host, 0);
-        assert_eq!(n, 5);
-        assert_eq!(&host.read(DevPtr { addr: 0, len: 5 }), &[1, 2, 8, 9, 10]);
-
-        let mut dev2 = MemPool::new(64, DataMode::Full);
-        dev2.alloc(16, 1);
-        let out_segs = vec![(3u64, 2u64), (10u64, 3u64)];
-        MemPool::scatter_between(&host, 0, &mut dev2, &out_segs);
-        let v = dev2.read(DevPtr { addr: 0, len: 16 }).to_vec();
-        assert_eq!(&v[3..5], &[1, 2]);
-        assert_eq!(&v[10..13], &[8, 9, 10]);
-    }
-
-    #[test]
-    fn iterator_variants_match_slice_forms() {
-        let mut p = MemPool::new(64, DataMode::Full);
-        let src = p.alloc(16, 1);
-        let dst = p.alloc(8, 1);
-        p.write(src, &(0..16).collect::<Vec<u8>>());
-        let segs = [(src.addr + 2, 2u64), (src.addr + 8, 2), (src.addr + 12, 4)];
-        // Iterator gather without materialising the plan.
-        let n = p.gather_iter(segs.iter().copied(), dst.addr);
-        assert_eq!(n, 8);
-        assert_eq!(p.read(dst), &[2, 3, 8, 9, 12, 13, 14, 15]);
-        // gather_into appends and reports bytes.
-        let mut out = vec![0xAA];
-        assert_eq!(
-            p.gather_into([(src.addr, 2), (src.addr + 4, 1)], &mut out),
-            3
-        );
-        assert_eq!(out, vec![0xAA, 0, 1, 4]);
-    }
-
-    #[test]
-    fn gather_into_model_only_counts_without_writing() {
-        let p = MemPool::new(1 << 30, DataMode::ModelOnly);
+        let a = p.alloc(1 << 30, 256);
+        let b = p.alloc(1 << 30, 256);
+        assert!(p.read(a).is_empty());
+        assert!(p.read_mut(a).is_empty());
+        p.write(a, &[]); // no-op, no panic
+        let (s, d) = p.split_mut(a, b);
+        assert!(s.is_empty() && d.is_empty());
         let mut out = Vec::new();
         assert_eq!(p.gather_into([(0, 100), (500, 50)], &mut out), 150);
         assert!(out.is_empty());
+        p.scatter_from_slice_iter(&[1, 2, 3], [(0, 3)]);
     }
 
     #[test]
-    fn copy_between_pools() {
-        let mut a = MemPool::new(16, DataMode::Full);
-        let mut b = MemPool::new(16, DataMode::Full);
-        let pa = a.alloc(4, 1);
-        let pb = b.alloc(4, 1);
-        a.write(pa, &[9, 8, 7, 6]);
-        MemPool::copy_between(&a, pa.addr, &mut b, pb.addr, 4);
-        assert_eq!(b.read(pb), &[9, 8, 7, 6]);
+    fn split_mut_borrows_either_order() {
+        let mut p = MemPool::new(64, DataMode::Full);
+        let lo = p.alloc(4, 1);
+        let hi = p.alloc(4, 1);
+        p.write(lo, &[1, 2, 3, 4]);
+        let (s, d) = p.split_mut(lo, hi);
+        d.copy_from_slice(s);
+        assert_eq!(p.read(hi), &[1, 2, 3, 4]);
+        p.write(hi, &[5, 6, 7, 8]);
+        let (s, d) = p.split_mut(hi, lo);
+        d.copy_from_slice(s);
+        assert_eq!(p.read(lo), &[5, 6, 7, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps")]
+    fn split_mut_rejects_overlap() {
+        let mut p = MemPool::new(64, DataMode::Full);
+        let a = p.alloc(16, 1);
+        p.split_mut(a.slice(0, 8), a.slice(4, 8));
+    }
+
+    #[test]
+    fn gather_into_appends_and_scatter_inverts_it() {
+        let mut p = MemPool::new(64, DataMode::Full);
+        let src = p.alloc(16, 1);
+        p.write(src, &(0..16).collect::<Vec<u8>>());
+        let segs = [(src.addr + 2, 2u64), (src.addr + 8, 2), (src.addr + 12, 4)];
+        let mut out = vec![0xAA];
+        assert_eq!(p.gather_into(segs, &mut out), 8);
+        assert_eq!(out, vec![0xAA, 2, 3, 8, 9, 12, 13, 14, 15]);
+
+        let dst = p.alloc(16, 1);
+        let moved = segs.map(|(addr, len)| (addr - src.addr + dst.addr, len));
+        p.scatter_from_slice_iter(&out[1..], moved);
+        assert_eq!(
+            p.read(dst),
+            &[0, 0, 2, 3, 0, 0, 0, 0, 8, 9, 0, 0, 12, 13, 14, 15]
+        );
     }
 
     #[test]
@@ -781,112 +363,5 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn devptr_slice_bounds_checked() {
         DevPtr { addr: 0, len: 10 }.slice(5, 10);
-    }
-
-    /// The segment list a `FixedRuns` plan stands for.
-    fn plan_segments(plan: FixedRuns) -> Vec<(u64, u64)> {
-        (0..plan.runs)
-            .map(|i| (plan.first + i * plan.stride, plan.len))
-            .collect()
-    }
-
-    #[test]
-    fn uniform_forms_match_iter_forms() {
-        // Cover both the const-generic widths and the fallback loop.
-        for len in [2u64, 4, 8, 16, 32, 3, 7, 48] {
-            let stride = len + 5;
-            let runs = 9u64;
-            let plan = FixedRuns {
-                first: 1,
-                stride,
-                len,
-                runs,
-            };
-            let span = plan.first + (runs - 1) * stride + len;
-            let total = plan.total_bytes();
-
-            let mut fill = MemPool::new(span + total + 16, DataMode::Full);
-            let region = fill.alloc(span, 1);
-            let packed = fill.alloc(total, 1);
-            fill.write(
-                region,
-                &(0..span).map(|i| (i * 37 % 251) as u8).collect::<Vec<_>>(),
-            );
-            let baseline = fill.clone();
-
-            // gather_uniform vs gather_iter
-            let mut a = baseline.clone();
-            let mut b = baseline.clone();
-            assert_eq!(a.gather_uniform(plan, packed.addr), total);
-            b.gather_iter(plan_segments(plan), packed.addr);
-            assert_eq!(a.read(packed), b.read(packed));
-
-            // scatter_uniform vs scatter_iter (round-trip through packed)
-            let mut c = a.clone();
-            let mut d = a.clone();
-            assert_eq!(c.scatter_uniform(packed.addr, plan), total);
-            d.scatter_iter(packed.addr, plan_segments(plan));
-            assert_eq!(c.read(region), d.read(region));
-            assert_eq!(c.read(region), baseline.read(region));
-
-            // gather_into_uniform vs gather_into (appends after a sentinel)
-            let mut out_u = vec![0xEE];
-            let mut out_i = vec![0xEE];
-            assert_eq!(baseline.gather_into_uniform(plan, &mut out_u), total);
-            baseline.gather_into(plan_segments(plan), &mut out_i);
-            assert_eq!(out_u, out_i);
-
-            // scatter_from_slice_uniform vs scatter_from_slice_iter
-            let data: Vec<u8> = (0..total).map(|i| (i % 97) as u8 + 1).collect();
-            let mut e = baseline.clone();
-            let mut f = baseline.clone();
-            e.scatter_from_slice_uniform(&data, plan);
-            f.scatter_from_slice_iter(&data, plan_segments(plan));
-            assert_eq!(e.read(region), f.read(region));
-
-            // between-pool forms
-            let mut host_u = MemPool::new(total + 8, DataMode::Full);
-            let mut host_i = MemPool::new(total + 8, DataMode::Full);
-            host_u.alloc(total, 1);
-            host_i.alloc(total, 1);
-            assert_eq!(
-                MemPool::gather_between_uniform(&baseline, plan, &mut host_u, 0),
-                total
-            );
-            MemPool::gather_between_iter(&baseline, plan_segments(plan), &mut host_i, 0);
-            let whole = DevPtr {
-                addr: 0,
-                len: total,
-            };
-            assert_eq!(host_u.read(whole), host_i.read(whole));
-
-            let mut back_u = MemPool::new(span + 8, DataMode::Full);
-            let mut back_i = MemPool::new(span + 8, DataMode::Full);
-            back_u.alloc(span, 1);
-            back_i.alloc(span, 1);
-            assert_eq!(
-                MemPool::scatter_between_uniform(&host_u, 0, &mut back_u, plan),
-                total
-            );
-            MemPool::scatter_between_iter(&host_i, 0, &mut back_i, plan_segments(plan));
-            let whole_back = DevPtr { addr: 0, len: span };
-            assert_eq!(back_u.read(whole_back), back_i.read(whole_back));
-        }
-    }
-
-    #[test]
-    fn uniform_model_only_counts_bytes() {
-        let plan = FixedRuns {
-            first: 0,
-            stride: 64,
-            len: 16,
-            runs: 1000,
-        };
-        let mut p = MemPool::new(1 << 30, DataMode::ModelOnly);
-        assert_eq!(p.gather_uniform(plan, 0), 16_000);
-        assert_eq!(p.scatter_uniform(0, plan), 16_000);
-        let mut out = Vec::new();
-        assert_eq!(p.gather_into_uniform(plan, &mut out), 16_000);
-        assert!(out.is_empty());
     }
 }

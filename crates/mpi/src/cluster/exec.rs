@@ -218,7 +218,6 @@ impl Cluster {
         pack: bool,
         blocking: bool,
     ) {
-        use super::CopyTier;
         use fusedpack_gpu::SegmentStats;
         let (layout, src_ptr, dst_ptr) = {
             let rank = &mut self.ranks[r];
@@ -226,41 +225,15 @@ impl Cluster {
             (layout, rank.bufs[src.0], rank.bufs[dst.0])
         };
         let stats = SegmentStats::new(layout.total_bytes(count), layout.total_blocks(count));
-        // Data movement within device memory, dispatched on the copy plan
-        // the layout compiler classified at commit time.
-        if pack {
-            match super::copy_tier_for(&layout, src_ptr.addr, count) {
-                CopyTier::Contiguous { bytes } => {
-                    self.gpus[r]
-                        .mem
-                        .copy_within(src_ptr.addr, dst_ptr.addr, bytes);
-                }
-                CopyTier::Runs(plan) => {
-                    self.gpus[r].mem.gather_uniform(plan, dst_ptr.addr);
-                }
-                CopyTier::Generic => {
-                    self.gpus[r]
-                        .mem
-                        .gather_iter(layout.abs_segments(src_ptr.addr, count), dst_ptr.addr);
-                }
-            }
+        // Data movement within device memory: the packed side is the first
+        // `total_bytes` of its buffer.
+        let (src_ptr, dst_ptr) = if pack {
+            (src_ptr, dst_ptr.slice(0, stats.total_bytes))
         } else {
-            match super::copy_tier_for(&layout, dst_ptr.addr, count) {
-                CopyTier::Contiguous { bytes } => {
-                    self.gpus[r]
-                        .mem
-                        .copy_within(src_ptr.addr, dst_ptr.addr, bytes);
-                }
-                CopyTier::Runs(plan) => {
-                    self.gpus[r].mem.scatter_uniform(src_ptr.addr, plan);
-                }
-                CopyTier::Generic => {
-                    self.gpus[r]
-                        .mem
-                        .scatter_iter(src_ptr.addr, layout.abs_segments(dst_ptr.addr, count));
-                }
-            }
-        }
+            (src_ptr.slice(0, stats.total_bytes), dst_ptr)
+        };
+        let (from, to) = self.gpus[r].mem.split_mut(src_ptr, dst_ptr);
+        super::copy_elems(pack, &layout, count, from, to);
         if blocking {
             // MPI_Pack/MPI_Unpack: the library parses the datatype and
             // synchronizes at the kernel boundary before returning.

@@ -21,7 +21,9 @@ use crate::program::{BufInit, Program};
 use crate::scheme::SchemeKind;
 use crate::sendrecv::{RecvId, SendId};
 use fusedpack_core::{SchedStats, Uid};
-use fusedpack_gpu::{BufferPool, DataMode, FixedRuns, Gpu, MemPool};
+use fusedpack_datatype::pack::{pack_into, unpack};
+use fusedpack_datatype::CompiledLayout;
+use fusedpack_gpu::{BufferPool, DataMode, Gpu, MemPool};
 use fusedpack_net::platform::Platform;
 use fusedpack_net::topology::{validate_endpoint, Endpoint, FabricEvent};
 use fusedpack_net::{FabricHealth, Link, Nic, TopoNet, TopologyHandle};
@@ -47,37 +49,29 @@ pub(crate) use shardrun::PendingTransmit;
 /// is byte-identical whether one queue or many drain it.
 pub(crate) const KEY_RANK_SHIFT: u32 = 42;
 
-/// The copy tier the cluster's data planes dispatch on, resolved from the
-/// layout's compile-time [`fusedpack_datatype::CopyPlan`] by
-/// [`copy_tier_for`]. `Contiguous` is one flat memcpy; `Runs` carries the
-/// fixed-stride plan anchored at the absolute base address (the GPU
-/// dispatch internally picks const-generic widths for small runs and the
-/// chunked block-uniform loop for large ones); `Generic` walks segments.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CopyTier {
-    Contiguous { bytes: u64 },
-    Runs(FixedRuns),
-    Generic,
-}
-
-/// Resolve the copy tier for `(layout, base, count)` from the plan the
-/// layout compiler classified at commit time — no per-call-site
-/// re-detection.
-pub(crate) fn copy_tier_for(
-    layout: &fusedpack_datatype::Layout,
-    base: u64,
+/// Move `count` elements of `layout` with the copy executor
+/// ([`pack_into`] / [`unpack`]) over byte slices taken from
+/// the pools: gather the laid-out `src` into the packed `dst` when `pack`,
+/// else scatter the packed `src` into the laid-out `dst`. Index 0 of the
+/// laid-out side is the first element's base address; the packed side is
+/// exactly `layout.total_bytes(count)` long.
+///
+/// A `ModelOnly` pool hands out empty slices (`MemPool` decides that in
+/// one place), so an empty side means there is nothing to move.
+pub(crate) fn copy_elems(
+    pack: bool,
+    layout: &CompiledLayout,
     count: u64,
-) -> CopyTier {
-    use fusedpack_datatype::CopyPlan;
-    match layout.plan_for(count) {
-        CopyPlan::Memcpy { bytes } => CopyTier::Contiguous { bytes },
-        CopyPlan::BlockUniform(p) | CopyPlan::FixedRuns(p) => CopyTier::Runs(FixedRuns {
-            first: base + p.first,
-            stride: p.stride,
-            len: p.len,
-            runs: p.runs,
-        }),
-        CopyPlan::Generic => CopyTier::Generic,
+    src: &[u8],
+    dst: &mut [u8],
+) {
+    if src.is_empty() || dst.is_empty() {
+        return;
+    }
+    if pack {
+        pack_into(src, layout, count, dst);
+    } else {
+        unpack(src, layout, count, dst);
     }
 }
 

@@ -6,7 +6,6 @@ use super::{Cluster, Event, RankId, RndvProtocol};
 use crate::lifecycle::LifecycleEvent;
 use crate::message::{WireKind, WireMsg};
 use crate::sendrecv::{CtsInfo, PackState, RecvId, SendId, StagingLoc};
-use fusedpack_gpu::MemPool;
 use fusedpack_net::rdma::CTRL_BYTES;
 use fusedpack_sim::{FaultSite, Time};
 use fusedpack_telemetry::{Lane, Payload, RndvPhaseTag};
@@ -681,17 +680,22 @@ impl Cluster {
         }
     }
 
-    /// Apply a pack's data movement: gather the user buffer's segments into
-    /// the staging buffer. The gather plan streams straight off the layout
-    /// (`abs_segments`), never materialising a segment `Vec`.
+    /// Apply a pack's data movement: gather the user buffer into the
+    /// staging buffer.
     pub(crate) fn apply_pack_movement(&mut self, r: usize, sid: SendId) {
-        let (layout, base, count, staging) = {
+        let (layout, user_buf, count, bytes, staging) = {
             let s = &self.ranks[r].sends[sid.0];
-            (s.layout.clone(), s.user_buf.addr, s.count, s.staging)
+            (
+                s.layout.clone(),
+                s.user_buf,
+                s.count,
+                s.packed_bytes,
+                s.staging,
+            )
         };
-        let (dst, dst_off) = match staging {
-            StagingLoc::Gpu(p) => (&mut self.staging_mems[r], p.addr),
-            StagingLoc::Host(p) => (&mut self.host_mems[r], p.addr),
+        let (dst, at) = match staging {
+            StagingLoc::Gpu(p) => (&mut self.staging_mems[r], p),
+            StagingLoc::Host(p) => (&mut self.host_mems[r], p),
             StagingLoc::UserGpu(_) => return, // contiguous: nothing to move
             StagingLoc::None => {
                 // Unreachable by construction (begin_pack assigns staging
@@ -702,34 +706,31 @@ impl Cluster {
                 return;
             }
         };
-        match super::copy_tier_for(&layout, base, count) {
-            super::CopyTier::Contiguous { bytes } => {
-                MemPool::copy_between(&self.gpus[r].mem, base, dst, dst_off, bytes);
-            }
-            super::CopyTier::Runs(plan) => {
-                MemPool::gather_between_uniform(&self.gpus[r].mem, plan, dst, dst_off);
-            }
-            super::CopyTier::Generic => {
-                MemPool::gather_between_iter(
-                    &self.gpus[r].mem,
-                    layout.abs_segments(base, count),
-                    dst,
-                    dst_off,
-                );
-            }
-        }
+        super::copy_elems(
+            true,
+            &layout,
+            count,
+            self.gpus[r].mem.read(user_buf),
+            dst.read_mut(at.slice(0, bytes)),
+        );
     }
 
     /// Apply an unpack's data movement: scatter staging into the user
     /// buffer.
     pub(crate) fn apply_unpack_movement(&mut self, r: usize, rid: RecvId) {
-        let (layout, base, count, staging) = {
+        let (layout, user_buf, count, bytes, staging) = {
             let op = &self.ranks[r].recvs[rid.0];
-            (op.layout.clone(), op.user_buf.addr, op.count, op.staging)
+            (
+                op.layout.clone(),
+                op.user_buf,
+                op.count,
+                op.packed_bytes,
+                op.staging,
+            )
         };
-        let (src, src_off) = match staging {
-            StagingLoc::Gpu(p) => (&self.staging_mems[r], p.addr),
-            StagingLoc::Host(p) => (&self.host_mems[r], p.addr),
+        let (src, at) = match staging {
+            StagingLoc::Gpu(p) => (&self.staging_mems[r], p),
+            StagingLoc::Host(p) => (&self.host_mems[r], p),
             StagingLoc::UserGpu(_) => return, // contiguous: payload landed in place
             StagingLoc::None => {
                 debug_assert!(false, "unpack movement without staging");
@@ -737,21 +738,12 @@ impl Cluster {
                 return;
             }
         };
-        match super::copy_tier_for(&layout, base, count) {
-            super::CopyTier::Contiguous { bytes } => {
-                MemPool::copy_between(src, src_off, &mut self.gpus[r].mem, base, bytes);
-            }
-            super::CopyTier::Runs(plan) => {
-                MemPool::scatter_between_uniform(src, src_off, &mut self.gpus[r].mem, plan);
-            }
-            super::CopyTier::Generic => {
-                MemPool::scatter_between_iter(
-                    src,
-                    src_off,
-                    &mut self.gpus[r].mem,
-                    layout.abs_segments(base, count),
-                );
-            }
-        }
+        super::copy_elems(
+            false,
+            &layout,
+            count,
+            src.read(at.slice(0, bytes)),
+            self.gpus[r].mem.read_mut(user_buf),
+        );
     }
 }

@@ -4,6 +4,7 @@
 //! (§IV-A2 ②), with the RTS/CTS handshake overlapping the packing.
 
 use super::super::accounting::Bucket;
+use super::super::copy_elems;
 use super::super::rank::{OpRef, RequeuedOp};
 use super::{Event, PathCtx, SchemeEngine};
 use crate::lifecycle::LifecycleEvent;
@@ -11,7 +12,7 @@ use crate::message::WireKind;
 use crate::sendrecv::{RecvId, SendId, StagingLoc};
 use fusedpack_core::{EnqueueError, FlushReason, FusionConfig, FusionOp, Scheduler, Uid};
 use fusedpack_datatype::cache::lookup_cost;
-use fusedpack_gpu::{Gpu, SegmentStats, StreamId};
+use fusedpack_gpu::{DevPtr, Gpu, SegmentStats, StreamId};
 use fusedpack_sim::{FaultSite, Time};
 use fusedpack_telemetry::Telemetry;
 
@@ -282,46 +283,7 @@ impl FusionEngine {
         // layout — valid for MPI's matched-signature transfers; a full
         // implementation would ship the sender's cached-layout handle in
         // the RTS, as [24] does for its IPC cache exchange.
-        {
-            let (layout, count, user_buf) = {
-                let op = &cx.cl.ranks[r].recvs[rid.0];
-                (op.layout.clone(), op.count, op.user_buf)
-            };
-            use crate::cluster::{copy_tier_for, CopyTier};
-            let mut packed = cx.cl.buf_pool.take(layout.total_bytes(count) as usize);
-            match copy_tier_for(&layout, origin, count) {
-                CopyTier::Contiguous { bytes } => {
-                    cx.cl.gpus[src]
-                        .mem
-                        .gather_into([(origin, bytes)], &mut packed);
-                }
-                CopyTier::Runs(plan) => {
-                    cx.cl.gpus[src].mem.gather_into_uniform(plan, &mut packed);
-                }
-                CopyTier::Generic => {
-                    cx.cl.gpus[src]
-                        .mem
-                        .gather_into(layout.abs_segments(origin, count), &mut packed);
-                }
-            }
-            match copy_tier_for(&layout, user_buf.addr, count) {
-                CopyTier::Contiguous { bytes } => {
-                    cx.cl.gpus[r]
-                        .mem
-                        .scatter_from_slice_iter(&packed, [(user_buf.addr, bytes)]);
-                }
-                CopyTier::Runs(plan) => {
-                    cx.cl.gpus[r].mem.scatter_from_slice_uniform(&packed, plan);
-                }
-                CopyTier::Generic => {
-                    cx.cl.gpus[r].mem.scatter_from_slice_iter(
-                        &packed,
-                        layout.abs_segments(user_buf.addr, count),
-                    );
-                }
-            }
-            cx.cl.buf_pool.put(packed);
-        }
+        ipc_copy(cx, rid, src, origin);
         match self.enqueue_ipc(cx, rid.0, origin) {
             Ok(uid) => {
                 cx.recv_mut(rid).fusion_uid = Some(uid);
@@ -361,54 +323,10 @@ impl FusionEngine {
     fn ipc_staged_fallback(&self, cx: &mut PathCtx<'_>, rid: RecvId, src: usize, origin: u64) {
         let r = cx.r;
         cx.charge(lookup_cost(), Bucket::Sync);
-        let (layout, count, user_buf, bytes, blocks) = {
-            let op = &cx.cl.ranks[r].recvs[rid.0];
-            (
-                op.layout.clone(),
-                op.count,
-                op.user_buf,
-                op.packed_bytes,
-                op.blocks,
-            )
-        };
+        let (bytes, blocks) = cx.recv_meta(rid);
         // Data movement, visible at completion: same gather/scatter as the
         // zero-copy path, via the staged bounce buffer.
-        {
-            use crate::cluster::{copy_tier_for, CopyTier};
-            let mut packed = cx.cl.buf_pool.take(layout.total_bytes(count) as usize);
-            match copy_tier_for(&layout, origin, count) {
-                CopyTier::Contiguous { bytes } => {
-                    cx.cl.gpus[src]
-                        .mem
-                        .gather_into([(origin, bytes)], &mut packed);
-                }
-                CopyTier::Runs(plan) => {
-                    cx.cl.gpus[src].mem.gather_into_uniform(plan, &mut packed);
-                }
-                CopyTier::Generic => {
-                    cx.cl.gpus[src]
-                        .mem
-                        .gather_into(layout.abs_segments(origin, count), &mut packed);
-                }
-            }
-            match copy_tier_for(&layout, user_buf.addr, count) {
-                CopyTier::Contiguous { bytes } => {
-                    cx.cl.gpus[r]
-                        .mem
-                        .scatter_from_slice_iter(&packed, [(user_buf.addr, bytes)]);
-                }
-                CopyTier::Runs(plan) => {
-                    cx.cl.gpus[r].mem.scatter_from_slice_uniform(&packed, plan);
-                }
-                CopyTier::Generic => {
-                    cx.cl.gpus[r].mem.scatter_from_slice_iter(
-                        &packed,
-                        layout.abs_segments(user_buf.addr, count),
-                    );
-                }
-            }
-            cx.cl.buf_pool.put(packed);
-        }
+        ipc_copy(cx, rid, src, origin);
         // Timing: the bounce rides the intra-node link, then a synchronous
         // scatter kernel lands it in the user buffer.
         let at = cx.cl.ranks[r].cpu;
@@ -430,6 +348,32 @@ impl FusionEngine {
             }
         }
     }
+}
+
+/// DirectIPC data movement, shared by the zero-copy path and its staged
+/// fallback: gather receive `rid`'s elements from the sender's buffer at
+/// `origin` on GPU `src` into a pooled bounce buffer, then scatter them into
+/// the receiver's user buffer.
+fn ipc_copy(cx: &mut PathCtx<'_>, rid: RecvId, src: usize, origin: u64) {
+    let (layout, count, user_buf, bytes) = {
+        let op = &cx.cl.ranks[cx.r].recvs[rid.0];
+        (op.layout.clone(), op.count, op.user_buf, op.packed_bytes)
+    };
+    let region = DevPtr {
+        addr: origin,
+        len: layout.footprint(count),
+    };
+    let from = cx.cl.gpus[src].mem.read(region);
+    let mut packed = cx.cl.buf_pool.take(bytes as usize);
+    // A `ModelOnly` pool reads back empty: the bounce buffer stays empty
+    // too (no memory touched), so neither copy moves anything.
+    if !from.is_empty() {
+        packed.resize(bytes as usize, 0);
+    }
+    copy_elems(true, &layout, count, from, &mut packed);
+    let to = cx.cl.gpus[cx.r].mem.read_mut(user_buf);
+    copy_elems(false, &layout, count, &packed, to);
+    cx.cl.buf_pool.put(packed);
 }
 
 /// Register a successfully re-enqueued operation exactly as its original

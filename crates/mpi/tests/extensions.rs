@@ -2,6 +2,7 @@
 //! fallback, and degraded-system operation (no GDRCopy).
 
 use fusedpack_core::FusionConfig;
+use fusedpack_datatype::pack::pack_into_generic;
 use fusedpack_datatype::{Layout, TypeBuilder, TypeDesc};
 use fusedpack_mpi::program::BufInit;
 use fusedpack_mpi::{
@@ -10,6 +11,8 @@ use fusedpack_mpi::{
 use fusedpack_net::Platform;
 use fusedpack_sim::Pcg32;
 use std::sync::Arc;
+
+mod common;
 
 fn sparse_type(points: u64) -> Arc<TypeDesc> {
     let disps: Vec<u64> = (0..points).map(|i| i * 3).collect();
@@ -95,12 +98,17 @@ fn verify_received(desc: &Arc<TypeDesc>, received: &[Vec<u8>], len: u64) {
 
 #[test]
 fn direct_ipc_moves_correct_bytes_intra_node() {
-    let desc = sparse_type(300);
-    let (report, received, len) = run_pair(SchemeKind::fusion_default(), &desc, 6, true, true);
-    verify_received(&desc, &received, len);
-    // DirectIPC requests were actually fused (the scheduler saw them).
-    let stats = report.sched_stats[1].expect("fusion stats");
-    assert!(stats.requests_fused >= 6, "stats: {stats:?}");
+    for desc in common::one_type_per_plan(sparse_type(300)) {
+        let (report, received, len) = run_pair(SchemeKind::fusion_default(), &desc, 6, true, true);
+        verify_received(&desc, &received, len);
+        // DirectIPC requests were actually fused (the scheduler saw them).
+        // Contiguous sends never reach the scheme: they go zero-copy from
+        // the user buffer.
+        if !Layout::of(&desc).is_contiguous_for(2) {
+            let stats = report.sched_stats[1].expect("fusion stats");
+            assert!(stats.requests_fused >= 6, "stats: {stats:?}");
+        }
+    }
 }
 
 #[test]
@@ -254,44 +262,53 @@ fn untraced_cluster_records_nothing() {
 fn explicit_pack_unpack_roundtrip_on_one_rank() {
     // Algorithm 1's primitives in isolation: MPI_Pack a non-contiguous
     // buffer into a packed one and MPI_Unpack it into a third; the third
-    // must match the first on every layout segment.
-    let desc = sparse_type(120);
-    let layout = Layout::of(&desc);
-    let count = 2u64;
-    let len = layout.footprint(count).max(1);
-    let packed_len = layout.total_bytes(count).max(1);
+    // must match the first on every layout segment, for every copy plan.
+    for desc in common::one_type_per_plan(sparse_type(120)) {
+        let layout = Layout::of(&desc);
+        let count = 2u64;
+        let len = layout.footprint(count).max(1);
+        let packed_len = layout.total_bytes(count).max(1);
 
-    let mut p = Program::new();
-    let src = p.buffer(len, BufInit::Random(77));
-    let packed = p.buffer(packed_len, BufInit::Zero);
-    let out = p.buffer(len, BufInit::Zero);
-    p.push(AppOp::Commit {
-        slot: TypeSlot(0),
-        desc: desc.clone(),
-    });
-    p.push(AppOp::Pack {
-        src,
-        ty: TypeSlot(0),
-        count,
-        dst: packed,
-    });
-    p.push(AppOp::Unpack {
-        src: packed,
-        ty: TypeSlot(0),
-        count,
-        dst: out,
-    });
+        let mut p = Program::new();
+        let src = p.buffer(len, BufInit::Random(77));
+        let packed = p.buffer(packed_len, BufInit::Zero);
+        let out = p.buffer(len, BufInit::Zero);
+        p.push(AppOp::Commit {
+            slot: TypeSlot(0),
+            desc: desc.clone(),
+        });
+        p.push(AppOp::Pack {
+            src,
+            ty: TypeSlot(0),
+            count,
+            dst: packed,
+        });
+        p.push(AppOp::Unpack {
+            src: packed,
+            ty: TypeSlot(0),
+            count,
+            dst: out,
+        });
 
-    let mut cluster = ClusterBuilder::new(Platform::lassen(), SchemeKind::GpuSync)
-        .add_rank(0, p)
-        .build();
-    cluster.run();
+        let mut cluster = ClusterBuilder::new(Platform::lassen(), SchemeKind::GpuSync)
+            .add_rank(0, p)
+            .build();
+        cluster.run();
 
-    let a = cluster.rank_buffer(RankId(0), src);
-    let b = cluster.rank_buffer(RankId(0), out);
-    for (addr, seg_len) in layout.absolute_segments(0, count) {
-        let (lo, hi) = (addr as usize, (addr + seg_len) as usize);
-        assert_eq!(&a[lo..hi], &b[lo..hi], "segment {addr}");
+        let a = cluster.rank_buffer(RankId(0), src);
+        let b = cluster.rank_buffer(RankId(0), out);
+        let mut want = vec![0u8; packed_len as usize];
+        pack_into_generic(&a, &layout, count, &mut want);
+        assert_eq!(
+            cluster.rank_buffer(RankId(0), packed),
+            want,
+            "packed image of {:?}",
+            layout.plan_for(count)
+        );
+        for (addr, seg_len) in layout.absolute_segments(0, count) {
+            let (lo, hi) = (addr as usize, (addr + seg_len) as usize);
+            assert_eq!(&a[lo..hi], &b[lo..hi], "segment {addr}");
+        }
     }
 }
 

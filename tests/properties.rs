@@ -202,3 +202,85 @@ proptest! {
         prop_assert!(f <= s, "fusion {} vs gpu-sync {}", f, s);
     }
 }
+
+/// The four `MemPool` segment-list copies the benchmark calls produce the
+/// copy executor's bytes for every plan, and `ModelOnly` pools move
+/// nothing while still reporting the payload bytes.
+#[test]
+fn mempool_slice_methods_match_executor() {
+    use fusedpack::datatype::pack;
+    use fusedpack::gpu::{FixedRuns, MemPool};
+
+    let byte_vector =
+        |runs, len, stride| TypeBuilder::vector(runs, len, stride, TypeBuilder::byte());
+    let mut types = vec![
+        TypeBuilder::contiguous(96, TypeBuilder::byte()),
+        TypeBuilder::indexed(&[(1, 3), (7, 1), (12, 9)], TypeBuilder::byte()),
+    ];
+    for len in [2u64, 4, 8, 16, 32, 3, 7, 48, 130] {
+        types.push(byte_vector(9, len, len + 5));
+    }
+    for desc in types {
+        let layout = Layout::of(&desc);
+        let (footprint, total) = (layout.footprint(1), layout.total_bytes(1));
+        let runs = |base: u64| {
+            layout.uniform_for(1).map(|p| FixedRuns {
+                first: base + p.first,
+                stride: p.stride,
+                len: p.len,
+                runs: p.runs,
+            })
+        };
+
+        let mut pool = MemPool::new(footprint + 64, DataMode::Full);
+        pool.alloc(3, 1); // a nonzero base address
+        let region = pool.alloc(footprint, 1);
+        let mut image = vec![0u8; footprint as usize];
+        Pcg32::seeded(footprint).fill_bytes(&mut image);
+        pool.write(region, &image);
+        let want = pack::pack(&image, &layout, 1);
+
+        let mut got = vec![0xEE];
+        assert_eq!(
+            pool.gather_into(layout.abs_segments(region.addr, 1), &mut got),
+            total
+        );
+        assert_eq!(got[1..], want[..], "gather_into, {:?}", layout.plan_for(1));
+        if let Some(plan) = runs(region.addr) {
+            let mut got = vec![0xEE];
+            assert_eq!(pool.gather_into_uniform(plan, &mut got), total);
+            assert_eq!(got[1..], want[..], "gather_into_uniform, {plan:?}");
+        }
+
+        let data: Vec<u8> = (0..total).map(|i| (i % 251) as u8 + 1).collect();
+        let mut scattered = image.clone();
+        pack::unpack(&data, &layout, 1, &mut scattered);
+        let mut iter_pool = pool.clone();
+        iter_pool.scatter_from_slice_iter(&data, layout.abs_segments(region.addr, 1));
+        assert_eq!(
+            iter_pool.read(region),
+            &scattered[..],
+            "scatter_from_slice_iter"
+        );
+        if let Some(plan) = runs(region.addr) {
+            let mut uniform_pool = pool.clone();
+            uniform_pool.scatter_from_slice_uniform(&data, plan);
+            assert_eq!(uniform_pool.read(region), &scattered[..], "{plan:?}");
+        }
+
+        let mut model = MemPool::new(footprint + 64, DataMode::ModelOnly);
+        let region = model.alloc(footprint, 1);
+        let mut out = Vec::new();
+        assert_eq!(
+            model.gather_into(layout.abs_segments(0, 1), &mut out),
+            total
+        );
+        if let Some(plan) = runs(0) {
+            assert_eq!(model.gather_into_uniform(plan, &mut out), total);
+            model.scatter_from_slice_uniform(&data, plan);
+        }
+        model.scatter_from_slice_iter(&data, layout.abs_segments(0, 1));
+        assert!(out.is_empty());
+        assert!(model.read(region).is_empty());
+    }
+}
