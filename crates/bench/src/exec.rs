@@ -65,6 +65,16 @@ static JOBS: AtomicUsize = AtomicUsize::new(0);
 static TIMINGS: Mutex<Vec<CellTiming>> = Mutex::new(Vec::new());
 static TELEMETRY: Mutex<Option<Telemetry>> = Mutex::new(None);
 
+/// Serializes the tests that change process-wide sweep settings (worker,
+/// shard or serve-request counts) or drain the timing registry: the test
+/// harness runs tests on parallel threads, and without this one test can
+/// observe another's settings halfway through a comparison.
+#[cfg(test)]
+pub(crate) fn settings_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Fix the worker-pool size (0 restores the default resolution order).
 pub fn set_jobs(n: usize) {
     JOBS.store(n, Ordering::Relaxed);
@@ -220,6 +230,7 @@ mod tests {
 
     #[test]
     fn sequential_and_parallel_agree() {
+        let _settings = settings_lock();
         let want: Vec<usize> = (0..40).map(|i| i * i).collect();
         set_jobs(1);
         assert_eq!(sweep("t", cells(40)), want);
@@ -231,6 +242,7 @@ mod tests {
 
     #[test]
     fn more_workers_than_cells_is_fine() {
+        let _settings = settings_lock();
         set_jobs(16);
         assert_eq!(sweep("t", cells(3)), vec![0, 1, 4]);
         assert!(sweep::<usize>("t", Vec::new()).is_empty());
@@ -240,6 +252,7 @@ mod tests {
 
     #[test]
     fn timings_are_recorded_in_index_order() {
+        let _settings = settings_lock();
         set_jobs(4);
         let _ = take_timings();
         let _ = sweep("timed", cells(8));
@@ -257,6 +270,7 @@ mod tests {
 
     #[test]
     fn telemetry_span_per_cell() {
+        let _settings = settings_lock();
         let tele = Telemetry::with_capacity(64);
         set_telemetry(tele.clone());
         set_jobs(2);

@@ -170,10 +170,11 @@ mod tests {
     }
 
     /// The report itself is deterministic across worker counts — the CI
-    /// determinism job diffs `--jobs 1` vs `--jobs 4` output; this is the
+    /// `topo` job diffs `--jobs 1` vs `--jobs 4` output; this is the
     /// in-process version of that check.
     #[test]
     fn report_is_identical_across_jobs() {
+        let _settings = exec::settings_lock();
         exec::set_jobs(1);
         let sequential = run();
         exec::set_jobs(4);
@@ -188,6 +189,7 @@ mod tests {
     /// `--shards 4` CSV diff.
     #[test]
     fn report_is_identical_across_shards() {
+        let _settings = exec::settings_lock();
         super::super::set_shards(1);
         let single = run();
         super::super::set_shards(4);

@@ -103,11 +103,6 @@ impl SchedStats {
     pub fn batch_mean(&self) -> f64 {
         self.fusion_degree()
     }
-
-    /// Accepted enqueues whose plan resolved to `class`.
-    pub fn class_count(&self, class: LayoutClass) -> u64 {
-        self.class_counts[class.index()]
-    }
 }
 
 /// The fusion scheduler. One instance runs per rank, on the same thread as

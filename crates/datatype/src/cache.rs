@@ -1,149 +1,114 @@
-//! The production layout cache: sharded, bounded, LRU-evicting.
+//! The per-rank layout cache: one table of compiled layouts, LRU-bounded.
 //!
 //! Following the scheme of Chu et al. \[24\] (the paper's `data layout` field
 //! in each fusion request is "the cached data layout entry"), committed
-//! types are compiled once ([`CompiledLayout`]) and cached, keyed by the
-//! structural hash of the type tree. Subsequent commits of an identical
-//! type reuse the entry, and per-message [`LayoutCache::acquire`] calls
-//! resolve a [`TypeHandle`] to its compiled plan with a counter bump — the
-//! "hits amortize to near zero" regime `reproduce serve` measures.
+//! types are compiled once ([`CompiledLayout`]) and cached. Subsequent
+//! commits of an identical type reuse the entry, and per-message
+//! [`LayoutCache::acquire`] calls resolve a [`TypeHandle`] to its compiled
+//! plan with a counter bump — the "hits amortize to near zero" regime
+//! `reproduce serve` measures.
 //!
-//! Production shape (TEMPI-style, per ROADMAP):
+//! Shape (one record per committed type, as in TEMPI):
 //!
-//! * **Sharded by structural hash** — entries land in `shards` independent
-//!   ways, so per-shard scans stay tiny and the stats expose skew.
-//! * **Bounded with LRU eviction** — each shard holds at most
-//!   `shard_capacity` compiled layouts; inserting beyond that evicts the
-//!   least-recently-used *unpinned* entry. An entry whose `Arc` is still
-//!   referenced outside the cache (an in-flight request holds its layout)
-//!   is pinned and never evicted.
+//! * **One table** — handles are issued densely from 0, so they index a
+//!   `Vec` of slots. Each slot keeps the committed descriptor, the
+//!   resident compiled layout (if any) and its LRU tick; `acquire` is an
+//!   index plus an `Arc` clone, with no hashing.
+//! * **Deduplicated by structure** — a `HashMap<TypeDesc, TypeHandle>`
+//!   binds each distinct type to one handle. Keys are compared by
+//!   structural equality, so two types never share a layout by accident.
+//! * **Bounded with LRU eviction** — at most `capacity` compiled layouts
+//!   stay resident; on overflow the least-recently-used *unpinned* slot
+//!   other than the one just touched loses its layout. A layout whose
+//!   `Arc` is still referenced outside the cache (an in-flight request
+//!   holds it) is pinned and never evicted, so the bound is soft while
+//!   everything is pinned.
 //! * **Handles survive eviction** — the commit→handle binding is
 //!   permanent, like an `MPI_Datatype`. Eviction drops only the compiled
-//!   artifact; a later `acquire` recompiles from the retained descriptor
-//!   and re-inserts (counted as a miss).
-//! * **Telemetry** — per-shard hit/miss/eviction counters plus resident
-//!   bytes and high-water marks, surfaced as [`LayoutCacheStats`] in
+//!   artifact; a later `acquire` or `commit` recompiles from the retained
+//!   descriptor (counted as a miss).
+//! * **Telemetry** — hit/miss/eviction counters plus resident bytes and
+//!   the residency high-water mark, surfaced as [`LayoutCacheStats`] in
 //!   `RunReport` and as `Payload::LayoutCacheHealth` instants.
 //!
 //! The cache also carries the *cost model* for layout processing: schemes
 //! that cache layouts (CPU-GPU-Hybrid, the proposed fusion design) pay the
 //! flattening cost once per type; schemes without a cache (GPU-Sync,
 //! GPU-Async — "Layout Cache: N" in Table I) re-parse the datatype on every
-//! pack/unpack operation. The constants are unchanged from the seed, so
-//! virtual-time reports are byte-identical to the pre-refactor cache.
+//! pack/unpack operation.
 
 use crate::compile::CompiledLayout;
 use crate::typedesc::TypeDesc;
 use fusedpack_sim::Duration;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Handle to a committed datatype (the engine's `MPI_Datatype`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TypeHandle(pub u64);
 
-/// Legacy aggregate counters (commit/lookup granularity), kept for the
-/// pre-shard API. [`LayoutCacheStats`] is the full per-shard view.
+/// Cache health counters. Merged across ranks into `RunReport::layout_cache`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub commits: u64,
-    pub hits: u64,
-    pub misses: u64,
-    pub lookups: u64,
-}
-
-/// Per-shard cache health counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LayoutShardStats {
-    /// Resolutions served from the shard (commit hits + handle acquires).
-    pub hits: u64,
-    /// Compiles: first commits plus post-eviction re-compiles.
-    pub misses: u64,
-    /// Entries dropped by the LRU bound.
-    pub evictions: u64,
-    /// Compiled layouts currently resident.
-    pub resident_entries: u64,
-    /// Bytes of compiled layout data currently resident.
-    pub resident_bytes: u64,
-    /// Highest `resident_bytes` ever observed.
-    pub high_water_bytes: u64,
-}
-
-impl LayoutShardStats {
-    /// Element-wise merge across disjoint caches: counters and residency
-    /// gauges add, and summed high-waters are exact because per-rank
-    /// residency is monotone while no eviction fires (the steady state of
-    /// every real run).
-    pub fn absorb(&mut self, other: &LayoutShardStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.resident_entries += other.resident_entries;
-        self.resident_bytes += other.resident_bytes;
-        self.high_water_bytes += other.high_water_bytes;
-    }
-}
-
-/// Cache-wide health: commit/lookup totals plus the per-shard breakdown.
-/// Merged across ranks into `RunReport::layout_cache`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LayoutCacheStats {
-    /// `commit` calls observed.
-    pub commits: u64,
-    /// Charged `get` lookups observed.
-    pub lookups: u64,
-    /// Per-shard counters, index = shard.
-    pub per_shard: Vec<LayoutShardStats>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    resident_entries: u64,
+    resident_bytes: u64,
+    high_water_bytes: u64,
 }
 
 impl LayoutCacheStats {
+    /// Resolutions served without compiling: commit hits plus acquires.
     pub fn hits(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.hits).sum()
+        self.hits
     }
 
+    /// Compiles: first commits plus post-eviction recompiles.
     pub fn misses(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.misses).sum()
+        self.misses
     }
 
+    /// Layouts dropped by the LRU bound.
     pub fn evictions(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.evictions).sum()
+        self.evictions
     }
 
+    /// Compiled layouts currently resident.
     pub fn resident_entries(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.resident_entries).sum()
+        self.resident_entries
     }
 
+    /// Bytes of compiled layout data currently resident.
     pub fn resident_bytes(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.resident_bytes).sum()
+        self.resident_bytes
     }
 
+    /// Highest `resident_bytes` ever observed.
     pub fn high_water_bytes(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.high_water_bytes).sum()
+        self.high_water_bytes
     }
 
     /// Fraction of resolutions served without compiling, in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
-        let (h, m) = (self.hits(), self.misses());
+        let (h, m) = (self.hits, self.misses);
         if h + m == 0 {
             return 1.0;
         }
         h as f64 / (h + m) as f64
     }
 
-    /// Merge another cache's stats into this one (e.g. across ranks).
-    /// Shard vectors are padded to the longer length.
+    /// Merge another cache's stats into this one (e.g. across ranks):
+    /// counters and residency gauges add, and summed high-waters are exact
+    /// because per-rank residency is monotone while no eviction fires (the
+    /// steady state of every real run).
     pub fn absorb(&mut self, other: &LayoutCacheStats) {
-        self.commits += other.commits;
-        self.lookups += other.lookups;
-        if self.per_shard.len() < other.per_shard.len() {
-            self.per_shard
-                .resize(other.per_shard.len(), LayoutShardStats::default());
-        }
-        for (mine, theirs) in self.per_shard.iter_mut().zip(&other.per_shard) {
-            mine.absorb(theirs);
-        }
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+        self.resident_entries += other.resident_entries;
+        self.resident_bytes += other.resident_bytes;
+        self.high_water_bytes += other.high_water_bytes;
     }
 }
 
@@ -165,71 +130,36 @@ pub fn parse_cost(blocks: u64) -> Duration {
     Duration::from_nanos((200 + blocks / 4).min(3_000))
 }
 
-/// Cache geometry. Defaults are generous enough that real runs never
-/// evict (the goldens prove byte-identity), while tests can shrink the
-/// bound to exercise the LRU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LayoutCacheConfig {
-    /// Shard count; rounded up to a power of two.
-    pub shards: usize,
-    /// Maximum resident compiled layouts per shard.
-    pub shard_capacity: usize,
-}
+/// Default bound on resident compiled layouts per rank. Real runs hold a
+/// handful of types, so they never evict; tests shrink the bound with
+/// [`LayoutCache::with_capacity`] to exercise the LRU.
+const DEFAULT_CAPACITY: usize = 256;
 
-impl Default for LayoutCacheConfig {
-    fn default() -> Self {
-        LayoutCacheConfig {
-            shards: 4,
-            shard_capacity: 64,
-        }
-    }
-}
-
-/// One resident compiled layout.
+/// One committed type: its descriptor, kept so an evicted layout can be
+/// recompiled, and its compiled layout while resident.
 #[derive(Debug)]
-struct CachedEntry {
-    handle: TypeHandle,
-    layout: Arc<CompiledLayout>,
+struct Slot {
+    desc: TypeDesc,
+    layout: Option<Arc<CompiledLayout>>,
     /// LRU tick of the most recent touch (globally unique, so eviction
     /// order is total and deterministic).
     last_use: u64,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    /// structural hash → resident entry.
-    entries: HashMap<u64, CachedEntry>,
-    stats: LayoutShardStats,
-}
-
-/// The commit→handle binding, permanent like an `MPI_Datatype`. Keeps the
-/// (cheap, `Arc`-shared) descriptor so an evicted layout can be recompiled
-/// on demand.
-#[derive(Debug, Clone)]
-struct HandleInfo {
-    shard: usize,
-    key: u64,
-    desc: TypeDesc,
-}
-
-/// The sharded layout cache.
+/// The per-rank layout cache.
 #[derive(Debug)]
 pub struct LayoutCache {
-    shards: Vec<Shard>,
-    shard_mask: u64,
-    shard_capacity: usize,
-    by_handle: HashMap<u64, HandleInfo>,
-    next: u64,
+    /// Indexed by `TypeHandle`.
+    slots: Vec<Slot>,
+    by_desc: HashMap<TypeDesc, TypeHandle>,
+    capacity: usize,
     tick: u64,
-    commits: u64,
-    commit_hits: u64,
-    commit_misses: u64,
-    lookups: u64,
+    stats: LayoutCacheStats,
 }
 
 impl Default for LayoutCache {
     fn default() -> Self {
-        Self::with_config(LayoutCacheConfig::default())
+        Self::with_capacity(DEFAULT_CAPACITY)
     }
 }
 
@@ -238,195 +168,121 @@ impl LayoutCache {
         Self::default()
     }
 
-    pub fn with_config(config: LayoutCacheConfig) -> Self {
-        let shards = config.shards.max(1).next_power_of_two();
+    /// A cache holding at most `capacity` (at least 1) unpinned layouts.
+    pub fn with_capacity(capacity: usize) -> Self {
         LayoutCache {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            shard_mask: shards as u64 - 1,
-            shard_capacity: config.shard_capacity.max(1),
-            by_handle: HashMap::new(),
-            next: 0,
+            slots: Vec::new(),
+            by_desc: HashMap::new(),
+            capacity: capacity.max(1),
             tick: 0,
-            commits: 0,
-            commit_hits: 0,
-            commit_misses: 0,
-            lookups: 0,
+            stats: LayoutCacheStats::default(),
         }
     }
 
-    fn structural_key(desc: &TypeDesc) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        desc.hash(&mut hasher);
-        hasher.finish()
-    }
-
-    fn touch_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Commit a type: compile (or find the structurally identical cached
-    /// entry) and return its handle plus the CPU cost incurred.
+    /// Commit a type: bind it to a handle (the existing one for a
+    /// structurally identical type) and return the handle plus the CPU
+    /// cost incurred — a lookup if the layout was resident, a flatten if
+    /// it had to be compiled.
     pub fn commit(&mut self, desc: &TypeDesc) -> (TypeHandle, Duration) {
-        self.commits += 1;
-        let key = Self::structural_key(desc);
-        let shard_idx = (key & self.shard_mask) as usize;
-        let tick = self.touch_tick();
-        let hit = {
-            let shard = &mut self.shards[shard_idx];
-            match shard.entries.get_mut(&key) {
-                Some(entry) => {
-                    entry.last_use = tick;
-                    shard.stats.hits += 1;
-                    Some(entry.handle)
-                }
-                None => None,
-            }
-        };
-        if let Some(handle) = hit {
-            self.commit_hits += 1;
-            return (handle, lookup_cost());
-        }
-        self.commit_misses += 1;
-        let layout = Arc::new(CompiledLayout::of(desc));
-        let cost = flatten_cost(layout.num_blocks());
-        let handle = TypeHandle(self.next);
-        self.next += 1;
-        self.by_handle.insert(
-            handle.0,
-            HandleInfo {
-                shard: shard_idx,
-                key,
+        let next = TypeHandle(self.slots.len() as u64);
+        let handle = *self.by_desc.entry(desc.clone()).or_insert(next);
+        if handle == next {
+            self.slots.push(Slot {
                 desc: desc.clone(),
-            },
-        );
-        self.insert(shard_idx, key, handle, layout, tick);
-        (handle, cost)
-    }
-
-    /// Insert a compiled layout into its shard, counting the miss,
-    /// updating residency accounting, and enforcing the LRU bound.
-    fn insert(
-        &mut self,
-        shard_idx: usize,
-        key: u64,
-        handle: TypeHandle,
-        layout: Arc<CompiledLayout>,
-        tick: u64,
-    ) {
-        let capacity = self.shard_capacity;
-        let shard = &mut self.shards[shard_idx];
-        let bytes = layout.resident_bytes();
-        shard.entries.insert(
-            key,
-            CachedEntry {
-                handle,
-                layout,
-                last_use: tick,
-            },
-        );
-        shard.stats.misses += 1;
-        shard.stats.resident_entries += 1;
-        shard.stats.resident_bytes += bytes;
-        shard.stats.high_water_bytes = shard.stats.high_water_bytes.max(shard.stats.resident_bytes);
-
-        // LRU eviction, skipping pinned entries (an Arc held outside the
-        // cache means an in-flight request still uses that layout). Ticks
-        // are globally unique, so the victim choice is deterministic.
-        while shard.entries.len() > capacity {
-            let victim = shard
-                .entries
-                .iter()
-                .filter(|(k, e)| **k != key && Arc::strong_count(&e.layout) == 1)
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(vkey) => {
-                    let evicted = shard.entries.remove(&vkey).expect("victim present");
-                    shard.stats.evictions += 1;
-                    shard.stats.resident_entries -= 1;
-                    shard.stats.resident_bytes -= evicted.layout.resident_bytes();
-                }
-                // Everything is pinned: the bound is soft, never drop a
-                // layout someone still holds.
-                None => break,
-            }
+                layout: None,
+                last_use: 0,
+            });
         }
+        let (layout, hit) = self.resolve(handle);
+        let cost = if hit {
+            lookup_cost()
+        } else {
+            flatten_cost(layout.num_blocks())
+        };
+        (handle, cost)
     }
 
     /// Resolve a handle to its compiled layout: the cost-free per-message
     /// path (schemes charge `lookup_cost` separately where the paper's
-    /// model says so). Counts a shard hit; if the entry was evicted,
-    /// recompiles from the retained descriptor and counts a miss.
+    /// model says so). Counts a hit; if the layout was evicted, recompiles
+    /// it from the retained descriptor and counts a miss.
     ///
     /// Panics on a handle this cache never issued.
     pub fn acquire(&mut self, handle: TypeHandle) -> Arc<CompiledLayout> {
-        // Only the Copy fields here: cloning the retained descriptor on
-        // the per-message hit path would deep-copy its block tables.
-        let info = self
-            .by_handle
-            .get(&handle.0)
-            .unwrap_or_else(|| panic!("uncommitted datatype {handle:?}"));
-        let (shard_idx, key) = (info.shard, info.key);
-        let tick = self.touch_tick();
-        {
-            let shard = &mut self.shards[shard_idx];
-            if let Some(entry) = shard.entries.get_mut(&key) {
-                entry.last_use = tick;
-                shard.stats.hits += 1;
-                return Arc::clone(&entry.layout);
-            }
-        }
-        // Evicted: recompile from the retained descriptor and re-insert
-        // under the original handle (the only path that pays the clone).
-        let desc = self.by_handle[&handle.0].desc.clone();
-        let layout = Arc::new(CompiledLayout::of(&desc));
-        self.insert(shard_idx, key, handle, Arc::clone(&layout), tick);
-        layout
+        self.resolve(handle).0
     }
 
     /// Look up a committed layout. Returns the layout and the lookup cost.
     pub fn get(&mut self, handle: TypeHandle) -> (Arc<CompiledLayout>, Duration) {
-        self.lookups += 1;
         (self.acquire(handle), lookup_cost())
     }
 
-    /// Peek without charging a lookup or touching LRU state (for
-    /// assertions/tests). `None` for unknown *or evicted* handles.
+    /// Peek without counting or touching LRU state (for assertions and
+    /// tests). `None` for unknown *or evicted* handles.
     pub fn peek(&self, handle: TypeHandle) -> Option<&Arc<CompiledLayout>> {
-        let info = self.by_handle.get(&handle.0)?;
-        self.shards[info.shard]
-            .entries
-            .get(&info.key)
-            .map(|e| &e.layout)
+        self.slots.get(handle.0 as usize)?.layout.as_ref()
     }
 
-    /// Legacy commit/lookup-granularity counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            commits: self.commits,
-            hits: self.commit_hits,
-            misses: self.commit_misses,
-            lookups: self.lookups,
-        }
-    }
-
-    /// Full per-shard health snapshot.
+    /// Health snapshot.
     pub fn layout_stats(&self) -> LayoutCacheStats {
-        LayoutCacheStats {
-            commits: self.commits,
-            lookups: self.lookups,
-            per_shard: self.shards.iter().map(|s| s.stats).collect(),
+        self.stats
+    }
+
+    /// Touch `handle`'s slot, compiling its layout if it is not resident,
+    /// then enforce the bound — on hits too, so an overflow that pins
+    /// forced is repaid once they are released. Returns the layout and
+    /// whether it was a hit.
+    fn resolve(&mut self, handle: TypeHandle) -> (Arc<CompiledLayout>, bool) {
+        let i = handle.0 as usize;
+        let slot = self
+            .slots
+            .get_mut(i)
+            .unwrap_or_else(|| panic!("uncommitted datatype {handle:?}"));
+        self.tick += 1;
+        slot.last_use = self.tick;
+        let stats = &mut self.stats;
+        let (layout, hit) = match &slot.layout {
+            Some(layout) => {
+                stats.hits += 1;
+                (Arc::clone(layout), true)
+            }
+            None => {
+                let layout = Arc::new(CompiledLayout::of(&slot.desc));
+                slot.layout = Some(Arc::clone(&layout));
+                stats.misses += 1;
+                stats.resident_entries += 1;
+                stats.resident_bytes += layout.resident_bytes();
+                stats.high_water_bytes = stats.high_water_bytes.max(stats.resident_bytes);
+                (layout, false)
+            }
+        };
+        if stats.resident_entries > self.capacity as u64 {
+            self.evict_overflow(i);
         }
+        (layout, hit)
     }
 
-    /// Resident compiled layouts across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// LRU eviction down to the bound, skipping slot `keep` (the one just
+    /// touched) and pinned layouts (an `Arc` held outside the cache means
+    /// an in-flight request still uses it). If everything else is pinned
+    /// the bound stays soft.
+    fn evict_overflow(&mut self, keep: usize) {
+        while self.stats.resident_entries > self.capacity as u64 {
+            let victim = self
+                .slots
+                .iter()
+                .enumerate()
+                .filter(|(i, s)| {
+                    *i != keep && s.layout.as_ref().is_some_and(|l| Arc::strong_count(l) == 1)
+                })
+                .min_by_key(|(_, s)| s.last_use)
+                .map(|(i, _)| i);
+            let Some(victim) = victim else { break };
+            let evicted = self.slots[victim].layout.take().expect("victim resident");
+            self.stats.evictions += 1;
+            self.stats.resident_entries -= 1;
+            self.stats.resident_bytes -= evicted.resident_bytes();
+        }
     }
 }
 
@@ -444,9 +300,10 @@ mod tests {
         let (hb, cost_b) = cache.commit(&b);
         assert_eq!(ha, hb);
         assert!(cost_b < cost_a, "second commit is a cache hit");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
+        let stats = cache.layout_stats();
+        assert_eq!(stats.resident_entries(), 1);
+        assert_eq!(stats.hits(), 1);
+        assert_eq!(stats.misses(), 1);
     }
 
     #[test]
@@ -455,7 +312,7 @@ mod tests {
         let (ha, _) = cache.commit(&TypeBuilder::vector(4, 2, 5, TypeBuilder::double()));
         let (hb, _) = cache.commit(&TypeBuilder::vector(4, 2, 6, TypeBuilder::double()));
         assert_ne!(ha, hb);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.layout_stats().resident_entries(), 2);
     }
 
     #[test]
@@ -466,7 +323,7 @@ mod tests {
         let (layout, cost) = cache.get(h);
         assert_eq!(layout.num_blocks(), 2);
         assert_eq!(cost, lookup_cost());
-        assert_eq!(cache.stats().lookups, 1);
+        assert_eq!(cache.layout_stats().hits(), 1, "a get counts as a hit");
     }
 
     #[test]
@@ -484,26 +341,19 @@ mod tests {
         assert!(flatten_cost(0) > lookup_cost());
     }
 
-    fn tiny_cache() -> LayoutCache {
-        LayoutCache::with_config(LayoutCacheConfig {
-            shards: 1,
-            shard_capacity: 2,
-        })
-    }
-
     fn distinct_type(i: u64) -> std::sync::Arc<TypeDesc> {
         TypeBuilder::vector(2, 1, 3 + i, TypeBuilder::double())
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut cache = tiny_cache();
+        let mut cache = LayoutCache::with_capacity(2);
         let (h0, _) = cache.commit(&distinct_type(0));
         let (h1, _) = cache.commit(&distinct_type(1));
         // Touch h0 so h1 becomes the LRU victim.
         cache.acquire(h0);
         let (_h2, _) = cache.commit(&distinct_type(2));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.layout_stats().resident_entries(), 2);
         assert!(cache.peek(h0).is_some(), "recently used survives");
         assert!(cache.peek(h1).is_none(), "LRU entry evicted");
         assert_eq!(cache.layout_stats().evictions(), 1);
@@ -511,7 +361,7 @@ mod tests {
 
     #[test]
     fn evicted_handle_recompiles_on_acquire() {
-        let mut cache = tiny_cache();
+        let mut cache = LayoutCache::with_capacity(2);
         let (h0, _) = cache.commit(&distinct_type(0));
         let (_h1, _) = cache.commit(&distinct_type(1));
         let (_h2, _) = cache.commit(&distinct_type(2));
@@ -519,13 +369,26 @@ mod tests {
         let layout = cache.acquire(h0);
         assert_eq!(layout.num_blocks(), 2);
         assert!(cache.peek(h0).is_some(), "recompile re-inserts");
-        // The recompile shows up as a second miss for that shard.
+        // The recompile shows up as a fourth miss.
         assert_eq!(cache.layout_stats().misses(), 4);
     }
 
     #[test]
+    fn recommit_of_evicted_type_keeps_its_handle() {
+        let mut cache = LayoutCache::with_capacity(1);
+        let (h0, first) = cache.commit(&distinct_type(0));
+        cache.commit(&distinct_type(1));
+        assert!(cache.peek(h0).is_none(), "h0 was evicted");
+        let (again, cost) = cache.commit(&distinct_type(0));
+        assert_eq!(again, h0, "the binding is permanent");
+        assert_eq!(cost, first, "a recompile pays the flatten cost again");
+        assert_eq!(cache.layout_stats().misses(), 3);
+        assert_eq!(cache.layout_stats().hits(), 0);
+    }
+
+    #[test]
     fn pinned_entries_are_never_evicted() {
-        let mut cache = tiny_cache();
+        let mut cache = LayoutCache::with_capacity(2);
         let (h0, _) = cache.commit(&distinct_type(0));
         let (h1, _) = cache.commit(&distinct_type(1));
         let pin0 = cache.acquire(h0);
@@ -541,25 +404,24 @@ mod tests {
         drop(pin1);
         // With pins released, the next insert can evict again.
         let (_h4, _) = cache.commit(&distinct_type(4));
-        assert!(cache.len() <= 3);
+        assert!(cache.layout_stats().resident_entries() <= 3);
     }
 
     #[test]
-    fn shard_stats_track_residency_and_high_water() {
-        let mut cache = LayoutCache::with_config(LayoutCacheConfig {
-            shards: 2,
-            shard_capacity: 8,
-        });
+    fn stats_track_residency_and_high_water() {
+        let mut cache = LayoutCache::with_capacity(4);
         for i in 0..6 {
             cache.commit(&distinct_type(i));
         }
         let stats = cache.layout_stats();
-        assert_eq!(stats.per_shard.len(), 2);
         assert_eq!(stats.misses(), 6);
-        assert_eq!(stats.resident_entries(), 6);
+        assert_eq!(stats.evictions(), 2);
+        assert_eq!(stats.resident_entries(), 4);
         assert!(stats.resident_bytes() > 0);
-        assert_eq!(stats.high_water_bytes(), stats.resident_bytes());
-        assert_eq!(stats.commits, 6);
+        // Every type here compiles to the same footprint, so residency
+        // peaked at the bound plus the one insert that overflowed it.
+        let per_entry = stats.resident_bytes() / 4;
+        assert_eq!(stats.high_water_bytes(), 5 * per_entry);
     }
 
     #[test]
@@ -584,8 +446,11 @@ mod tests {
         b.commit(&distinct_type(1));
         let mut merged = a.layout_stats();
         merged.absorb(&b.layout_stats());
-        assert_eq!(merged.commits, 3);
         assert_eq!(merged.misses(), 3);
         assert_eq!(merged.resident_entries(), 3);
+        assert_eq!(
+            merged.high_water_bytes(),
+            a.layout_stats().high_water_bytes() + b.layout_stats().high_water_bytes()
+        );
     }
 }

@@ -15,8 +15,9 @@
 //!    a contiguity/uniformity [`LayoutClass`], and the precomputed
 //!    [`CopyPlan`] every pack/unpack engine dispatches on.
 //! 3. **Cache** ([`cache`]): compiled layouts are cached following the
-//!    scheme of Chu et al. \[24\] in a sharded, LRU-bounded
-//!    [`LayoutCache`] keyed by structural hash, with per-shard telemetry.
+//!    scheme of Chu et al. \[24\] in a per-rank, LRU-bounded
+//!    [`LayoutCache`]: one table indexed by handle, deduplicated by
+//!    structural equality of the committed types.
 //!
 //! The compiled layout is the lingua franca of the whole workspace: the
 //! GPU kernel cost model consumes its [`shape`](layout::Layout::shape),
@@ -34,9 +35,7 @@ pub mod pack;
 pub mod typedesc;
 
 pub use builder::TypeBuilder;
-pub use cache::{
-    CacheStats, LayoutCache, LayoutCacheConfig, LayoutCacheStats, LayoutShardStats, TypeHandle,
-};
+pub use cache::{LayoutCache, LayoutCacheStats, TypeHandle};
 pub use compile::{CompiledLayout, CopyPlan, LayoutClass, FIXED_RUN_WIDTH_MAX};
 pub use ir::{IrNode, LayoutIr};
 pub use layout::{AbsSegments, Layout, Segment, UniformPlan};

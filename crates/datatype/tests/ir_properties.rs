@@ -7,10 +7,11 @@
 //! tests cover — and require the two to agree byte-for-byte, both on the
 //! segment lists and on the packed images every copy tier produces.
 //!
-//! Also here: the LRU pinning law — the sharded cache must never evict a
-//! compiled layout while an in-flight request still holds its `Arc`.
+//! Also here: the layout cache's laws — it must never evict a compiled
+//! layout while an in-flight request still holds its `Arc`, its counters
+//! must balance, and its bound is soft only as far as pins force it.
 
-use fusedpack_datatype::cache::{LayoutCache, LayoutCacheConfig, TypeHandle};
+use fusedpack_datatype::cache::{LayoutCache, TypeHandle};
 use fusedpack_datatype::flatten::{flatten, flatten_reference};
 use fusedpack_datatype::ir::LayoutIr;
 use fusedpack_datatype::pack::{pack_into, pack_into_generic, unpack, unpack_generic};
@@ -158,26 +159,42 @@ proptest! {
         prop_assert_eq!(ir.extent(), t.extent());
     }
 
-    /// LRU pinning law: a layout whose `Arc` is held outside the cache
-    /// (an in-flight request) survives any sequence of commits and
-    /// acquires, even in a cache bounded far below the working set — and
-    /// the held `Arc` stays the *same allocation* (never evicted and
-    /// silently recompiled).
+    /// Cache laws, checked after every operation of a random commit /
+    /// acquire sequence in a cache bounded far below the working set:
+    ///
+    /// * a layout whose `Arc` is held outside the cache (an in-flight
+    ///   request) stays resident as the *same allocation* — never evicted
+    ///   and silently recompiled behind the pin;
+    /// * `hits + misses == commits + acquires` and
+    ///   `resident == misses - evictions`;
+    /// * residency stays at or below `max(capacity, pinned + 1)`;
+    /// * re-committing an evicted type returns its original handle and
+    ///   costs exactly one miss.
     #[test]
     fn lru_never_evicts_pinned_layouts(
         ops in prop::collection::vec((0u64..12, 0u8..2), 1..60),
     ) {
-        let mut cache = LayoutCache::with_config(LayoutCacheConfig {
-            shards: 2,
-            shard_capacity: 2,
-        });
+        const CAPACITY: u64 = 2;
+        let mut cache = LayoutCache::with_capacity(CAPACITY as usize);
+        let mut handles: HashMap<u64, TypeHandle> = HashMap::new();
         let mut pins: HashMap<TypeHandle, Arc<CompiledLayout>> = HashMap::new();
+        let (mut commits, mut acquires) = (0u64, 0u64);
         for (i, pin) in ops {
             let ty = TypeBuilder::vector(2, 1, 3 + i, TypeBuilder::double());
+            let evicted = handles.get(&i).map(|h| cache.peek(*h).is_none());
+            let misses_before = cache.layout_stats().misses();
             let (handle, _) = cache.commit(&ty);
+            commits += 1;
+            if let Some(evicted) = evicted {
+                prop_assert_eq!(handle, handles[&i], "re-commit changed the handle");
+                let added = cache.layout_stats().misses() - misses_before;
+                prop_assert_eq!(added, u64::from(evicted), "re-commit miss count");
+            }
+            handles.insert(i, handle);
             if pin == 1 {
                 // Simulate an in-flight request holding the layout.
                 let held = cache.acquire(handle);
+                acquires += 1;
                 pins.insert(handle, held);
             } else {
                 // Request retired: release the pin.
@@ -191,6 +208,16 @@ proptest! {
                     "pinned {h:?} was evicted and recompiled behind the pin"
                 );
             }
+            let stats = cache.layout_stats();
+            prop_assert_eq!(stats.hits() + stats.misses(), commits + acquires);
+            prop_assert_eq!(stats.resident_entries(), stats.misses() - stats.evictions());
+            let bound = CAPACITY.max(pins.len() as u64 + 1);
+            prop_assert!(
+                stats.resident_entries() <= bound,
+                "{} resident > max(capacity, pinned + 1) = {}",
+                stats.resident_entries(),
+                bound
+            );
         }
     }
 }

@@ -27,7 +27,6 @@ use fusedpack_gpu::{BufferPool, DataMode, Gpu, MemPool};
 use fusedpack_net::platform::Platform;
 use fusedpack_net::topology::{validate_endpoint, Endpoint, FabricEvent};
 use fusedpack_net::{FabricHealth, Link, Nic, TopoNet, TopologyHandle};
-use fusedpack_sim::trace::Trace;
 use fusedpack_sim::{
     ClampStats, Duration, EventQueue, FaultPlan, FaultSite, FaultSummary, Mailbox, Pcg32,
     RetryPolicy, ShardStats, Slab, Time, WheelStats,
@@ -118,11 +117,9 @@ pub struct ClusterBuilder {
     scheme: SchemeKind,
     data_mode: DataMode,
     gdrcopy: bool,
-    trace_capacity: usize,
     telemetry: Option<Telemetry>,
     rndv: RndvProtocol,
     faults: Option<FaultPlan>,
-    retry: RetryPolicy,
     topology: Option<TopologyHandle>,
     shards: u32,
     ranks: Vec<(u32, Program)>,
@@ -135,11 +132,9 @@ impl ClusterBuilder {
             scheme,
             data_mode: DataMode::Full,
             gdrcopy: true,
-            trace_capacity: 0,
             telemetry: None,
             rndv: RndvProtocol::default(),
             faults: None,
-            retry: RetryPolicy::default_transfer(),
             topology: None,
             shards: 1,
             ranks: Vec::new(),
@@ -187,25 +182,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Override the retry/backoff/deadline policy used to recover from
-    /// injected wire and NIC faults (default:
-    /// [`RetryPolicy::default_transfer`]).
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Keep a structured trace of up to `capacity` protocol and scheduling
-    /// events (debugging aid; see [`Cluster::trace`]). A convenience over
-    /// [`ClusterBuilder::telemetry`] with a capacity-capped recorder.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Attach an external telemetry recorder: every layer of the stack
     /// (scheduler, GPUs, NICs, protocol engine, accounting) records typed
-    /// events into it. Takes precedence over [`ClusterBuilder::with_trace`].
+    /// events into it.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -237,11 +216,7 @@ impl ClusterBuilder {
     pub fn build(self) -> Cluster {
         assert!(!self.ranks.is_empty(), "need at least one rank");
         let num_nodes = self.ranks.iter().map(|&(n, _)| n).max().expect("ranks") + 1;
-        let telemetry = match self.telemetry {
-            Some(t) => t,
-            None if self.trace_capacity > 0 => Telemetry::with_capacity(self.trace_capacity),
-            None => Telemetry::disabled(),
-        };
+        let telemetry = self.telemetry.unwrap_or_else(Telemetry::disabled);
         // The single construction-time dispatch: scheme → strategy object.
         let engine = crate::registry::engine_for(&self.scheme, &self.platform);
 
@@ -362,7 +337,7 @@ impl ClusterBuilder {
             telemetry,
             faults,
             fault_stats: FaultSummary::default(),
-            retry: self.retry,
+            retry: RetryPolicy::default_transfer(),
             shards_requested: self.shards,
             cur_event: (Time::ZERO, 0),
             defer_transmits: false,
@@ -841,34 +816,8 @@ impl Cluster {
     }
 
     /// The telemetry handle this cluster records into (disabled unless the
-    /// builder attached one via [`ClusterBuilder::telemetry`] or
-    /// [`ClusterBuilder::with_trace`]).
+    /// builder attached one via [`ClusterBuilder::telemetry`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// A legacy flat trace view, synthesized from the typed telemetry
-    /// timeline (empty unless tracing was enabled at build time). Events
-    /// are ordered by time; components group the payload categories
-    /// (`fusion` for scheduler decisions, `wire` for protocol/network
-    /// traffic, `gpu`, `pack`, `sync`, `bucket`, `marker`).
-    pub fn trace(&self) -> Trace {
-        let snap = self.telemetry.snapshot();
-        let mut events = snap.events;
-        events.sort_by_key(|e| (e.start, e.rank));
-        let mut trace = Trace::enabled(events.len().max(1));
-        for e in &events {
-            let component = match e.payload.category() {
-                "sched" => "fusion",
-                "net" => "wire",
-                other => other,
-            };
-            let message = match e.dur {
-                Some(d) => format!("rank {}: {:?} (+{} ns)", e.rank, e.payload, d.as_nanos()),
-                None => format!("rank {}: {:?}", e.rank, e.payload),
-            };
-            trace.record(e.start, component, message);
-        }
-        trace
     }
 }

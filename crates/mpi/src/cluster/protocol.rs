@@ -6,7 +6,7 @@ use super::{Cluster, Event, RankId, RndvProtocol};
 use crate::lifecycle::LifecycleEvent;
 use crate::message::{WireKind, WireMsg};
 use crate::sendrecv::{CtsInfo, PackState, RecvId, SendId, StagingLoc};
-use fusedpack_net::rdma::CTRL_BYTES;
+use fusedpack_net::CTRL_BYTES;
 use fusedpack_sim::{FaultSite, Time};
 use fusedpack_telemetry::{Lane, Payload, RndvPhaseTag};
 

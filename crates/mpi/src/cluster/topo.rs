@@ -176,14 +176,4 @@ impl Cluster {
     pub fn fabric_health(&self) -> Option<FabricHealth> {
         self.topo.as_ref().map(TopoNet::fabric_health)
     }
-
-    /// The attached topology's display name, if any.
-    pub fn topology_name(&self) -> Option<&'static str> {
-        self.topo.as_ref().map(|net| net.topology().name())
-    }
-
-    /// The (node, gpu-slot) endpoint of a rank (tests and diagnostics).
-    pub fn endpoint_of(&self, rank: super::RankId) -> Option<fusedpack_net::Endpoint> {
-        self.endpoints.get(rank.0 as usize).copied()
-    }
 }

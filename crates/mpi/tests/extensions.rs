@@ -10,6 +10,7 @@ use fusedpack_mpi::{
 };
 use fusedpack_net::Platform;
 use fusedpack_sim::Pcg32;
+use fusedpack_telemetry::Telemetry;
 use std::sync::Arc;
 
 mod common;
@@ -224,21 +225,16 @@ fn trace_records_fusion_and_wire_events() {
         p
     };
     let mut cluster = ClusterBuilder::new(Platform::lassen(), SchemeKind::fusion_default())
-        .with_trace(256)
+        .telemetry(Telemetry::with_capacity(256))
         .add_rank(0, build(RankId(1)))
         .add_rank(1, build(RankId(0)))
         .build();
     cluster.run();
-    let trace = cluster.trace();
-    assert!(!trace.is_empty());
-    assert!(
-        !trace.for_component("fusion").is_empty(),
-        "fused launches traced"
-    );
-    assert!(!trace.for_component("wire").is_empty(), "deliveries traced");
-    // Timestamps are monotone.
-    let times: Vec<_> = trace.events().map(|e| e.time).collect();
-    assert!(times.windows(2).all(|w| w[0] <= w[1]));
+    let events = cluster.telemetry().snapshot().events;
+    assert!(!events.is_empty());
+    let recorded = |category: &str| events.iter().any(|e| e.payload.category() == category);
+    assert!(recorded("sched"), "fused launches traced");
+    assert!(recorded("net"), "deliveries traced");
 }
 
 #[test]
@@ -246,7 +242,7 @@ fn untraced_cluster_records_nothing() {
     let desc = sparse_type(50);
     let (report, _, _) = run_pair(SchemeKind::fusion_default(), &desc, 2, false, true);
     let _ = report;
-    // Build directly to inspect the trace.
+    // Build directly to inspect the telemetry.
     let layout = Layout::of(&desc);
     let len = layout.footprint(2).max(1);
     let mut p = Program::new();
@@ -255,7 +251,7 @@ fn untraced_cluster_records_nothing() {
         .add_rank(0, p)
         .build();
     cluster.run();
-    assert!(cluster.trace().is_empty());
+    assert!(cluster.telemetry().snapshot().events.is_empty());
 }
 
 #[test]

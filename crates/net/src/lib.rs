@@ -1,24 +1,22 @@
 //! # fusedpack-net
 //!
 //! Interconnect models for the simulated GPU cluster: α–β links with FIFO
-//! serialization, NICs with per-message injection overhead, RDMA READ/WRITE
-//! verbs (the transport under the rendezvous RGET/RPUT protocols), and the
-//! [`platform::Platform`] descriptions of the paper's two evaluation systems
-//! (Table II): LLNL **Lassen** (POWER9 + V100, NVLink2 everywhere) and
-//! **ABCI** (Xeon + V100, PCIe Gen3 to the host).
+//! serialization, NICs with per-message injection overhead (the MPI
+//! protocol engine times its RGET/RPUT rendezvous over them), routed
+//! topologies, and the [`platform::Platform`] descriptions of the paper's
+//! two evaluation systems (Table II): LLNL **Lassen** (POWER9 + V100,
+//! NVLink2 everywhere) and **ABCI** (Xeon + V100, PCIe Gen3 to the host).
 
 pub mod error;
 pub mod link;
 pub mod nic;
 pub mod platform;
-pub mod rdma;
 pub mod topology;
 
 pub use error::NetError;
 pub use link::{Link, LinkSpec};
-pub use nic::{Nic, NodeId};
+pub use nic::{Nic, NodeId, CTRL_BYTES};
 pub use platform::Platform;
-pub use rdma::{RdmaEngine, RdmaOp, RdmaVerb};
 pub use topology::{
     Dragonfly, Endpoint, FabricEvent, FabricHealth, FatTree, FlatLink, Hierarchy, HopId, HopKind,
     HopSpec, HopState, HopStats, NvlinkIsland, RouteKey, RouteTiming, TopoNet, Topology,

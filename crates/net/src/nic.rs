@@ -12,6 +12,9 @@ use fusedpack_sim::{Duration, Time};
 use fusedpack_telemetry::{Lane, Payload, Telemetry};
 use serde::{Deserialize, Serialize};
 
+/// Size of a control packet (RTS/CTS/FIN) on the wire.
+pub const CTRL_BYTES: u64 = 64;
+
 /// Identifies a node in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
@@ -97,22 +100,11 @@ impl Nic {
     /// this NIC's scalar wire: injection overhead and GPUDirect capping
     /// are charged exactly as in [`Nic::post_send`]/[`Nic::post_send_gdr`],
     /// but occupancy lands on every hop of the route. The work request is
-    /// only counted as posted if the route resolves.
-    pub fn post_send_routed(
-        &mut self,
-        net: &mut TopoNet,
-        key: RouteKey,
-        now: Time,
-        bytes: u64,
-        gdr: bool,
-    ) -> Result<RouteTiming, NetError> {
-        self.post_send_routed_keyed(net, key, now, bytes, gdr, 0)
-    }
-
-    /// [`Nic::post_send_routed`] carrying the transfer's canonical event
-    /// key through to [`TopoNet::transmit_keyed`], so an armed fabric
-    /// fault domain draws its per-hop decisions from coordinates that are
-    /// invariant across event-loop shard counts.
+    /// only counted as posted if the route resolves. `event_key` is the
+    /// transfer's canonical event key, passed through to
+    /// [`TopoNet::transmit_keyed`] so an armed fabric fault domain draws
+    /// its per-hop decisions from coordinates that are invariant across
+    /// event-loop shard counts.
     pub fn post_send_routed_keyed(
         &mut self,
         net: &mut TopoNet,
@@ -257,7 +249,7 @@ mod tests {
         )));
         let key = (Endpoint::new(0, 0), Endpoint::new(1, 0));
         let t = routed
-            .post_send_routed(&mut net, key, Time(0), 1 << 20, true)
+            .post_send_routed_keyed(&mut net, key, Time(0), 1 << 20, true, 0)
             .unwrap();
         assert_eq!((t.start, t.delivered), (s_start, s_delivered));
         assert_eq!(routed.posted(), 1);
@@ -265,7 +257,7 @@ mod tests {
         // A failed resolution is a typed error and does not count a post.
         let bad = (Endpoint::new(9, 0), Endpoint::new(0, 0));
         assert!(routed
-            .post_send_routed(&mut net, bad, Time(0), 1, false)
+            .post_send_routed_keyed(&mut net, bad, Time(0), 1, false, 0)
             .is_err());
         assert_eq!(routed.posted(), 1);
     }

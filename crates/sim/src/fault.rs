@@ -300,14 +300,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Whether any site can ever fire. An unarmed plan behaves exactly
-    /// like no plan at all.
-    pub fn is_armed(&self) -> bool {
-        self.sites
-            .iter()
-            .any(|s| s.spec.probability > 0.0 || s.ranks.values().any(|r| r.burst_left > 0))
-    }
-
     /// Whether any fabric (per-hop) site is armed — the cluster only wires
     /// a fault profile into `TopoNet` when this holds.
     pub fn is_fabric_armed(&self) -> bool {

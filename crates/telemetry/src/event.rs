@@ -225,7 +225,7 @@ pub enum Payload {
         events: u64,
     },
     /// End-of-run layout-compiler cache snapshot, aggregated over every
-    /// rank's sharded cache: acquire hits/misses, LRU evictions, resident
+    /// rank's layout cache: acquire hits/misses, LRU evictions, resident
     /// compiled bytes, and the residency high-water mark.
     LayoutCacheHealth {
         hits: u64,
