@@ -216,12 +216,26 @@ fn bench_block_uniform_tier(c: &mut Criterion) {
 }
 
 /// The Generic tier on `specfem3d_cm(512)`, the halo type the benchmark's
-/// byte-moving workload sends: the segment-table walk over 1536 scattered
-/// floats.
+/// byte-moving workload sends: 1536 scattered floats. Every run is 4 bytes,
+/// so `pack`/`unpack` take the run-width walk (fixed 4-byte moves at the
+/// segment table's offsets) while `pack_generic_loop` is the prefix-sum
+/// walk.
 fn bench_generic_tier(c: &mut Criterion) {
     let layout = Layout::of(&specfem3d_cm(512).desc);
     assert_eq!(layout.plan_for(1).class(), LayoutClass::Generic);
+    assert_eq!(layout.run_width(), 4);
     bench_executor(c, "hotpaths/generic", ["pack", "unpack"], &layout);
+}
+
+/// The Generic tier on mixed run widths: 1536 blocks alternating 1 and 2
+/// floats at irregular offsets, so `pack`/`unpack` keep the prefix-sum
+/// walk and this group prices it.
+fn bench_generic_mixed_tier(c: &mut Criterion) {
+    let blocks: Vec<(u64, u64)> = (0..1536).map(|i| (4 * i + i % 2, 1 + i % 2)).collect();
+    let layout = Layout::of(&TypeBuilder::indexed(&blocks, TypeBuilder::float()));
+    assert_eq!(layout.plan_for(1).class(), LayoutClass::Generic);
+    assert_eq!(layout.run_width(), 0);
+    bench_executor(c, "hotpaths/generic_mixed", ["pack", "unpack"], &layout);
 }
 
 /// One scheduler service cycle: 64 enqueues with a threshold check after
@@ -616,6 +630,7 @@ criterion_group!(
     bench_staging_pool_mixed,
     bench_gather_tier,
     bench_generic_tier,
+    bench_generic_mixed_tier,
     bench_block_uniform_tier,
     bench_scheduler,
     bench_fault_hooks,

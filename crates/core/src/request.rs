@@ -1,6 +1,6 @@
 //! Fusion request objects — the entries of the request list (§IV-A1).
 
-use fusedpack_datatype::{Layout, LayoutClass};
+use fusedpack_datatype::Layout;
 use fusedpack_gpu::{DevPtr, FusedWork, SegmentStats};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -59,8 +59,6 @@ pub struct FusionRequest {
     /// Shape summary, resolved once at enqueue from the compiled layout
     /// (the cost model and work descriptor read it on every query/flush).
     pub stats: SegmentStats,
-    /// Count-resolved copy-plan class, memoized at enqueue.
-    pub class: LayoutClass,
     /// External bandwidth ceiling for this request's kernel (set for
     /// DirectIPC requests to the peer-link bandwidth; `None` for local
     /// pack/unpack).
@@ -72,14 +70,11 @@ pub struct FusionRequest {
 }
 
 impl FusionRequest {
-    /// Resolve the memoized shape and class for `(layout, count)` — the
-    /// single construction-time classification every later read reuses.
-    pub fn classify(layout: &Layout, count: u64) -> (SegmentStats, LayoutClass) {
+    /// Resolve the memoized shape for `(layout, count)` — the single
+    /// construction-time derivation every later read reuses.
+    pub fn shape_of(layout: &Layout, count: u64) -> SegmentStats {
         let (bytes, blocks) = layout.shape(count);
-        (
-            SegmentStats::new(bytes, blocks),
-            layout.plan_for(count).class(),
-        )
+        SegmentStats::new(bytes, blocks)
     }
 
     /// Payload bytes this request moves.
@@ -90,12 +85,6 @@ impl FusionRequest {
     /// Shape summary for the GPU kernel cost model (memoized at enqueue).
     pub fn stats(&self) -> SegmentStats {
         self.stats
-    }
-
-    /// The copy-plan class the layout compiler resolved for this request
-    /// (memoized at enqueue).
-    pub fn class(&self) -> LayoutClass {
-        self.class
     }
 
     /// The fused-kernel work descriptor for this request.
@@ -125,7 +114,7 @@ mod tests {
             5,
             TypeBuilder::double(),
         )));
-        let (stats, class) = FusionRequest::classify(&layout, 3);
+        let stats = FusionRequest::shape_of(&layout, 3);
         FusionRequest {
             uid: Uid(7),
             op: FusionOp::Pack,
@@ -137,7 +126,6 @@ mod tests {
             layout,
             count: 3,
             stats,
-            class,
             bw_cap: None,
             request_status: Status::Pending,
             response_status: Status::Idle,
@@ -151,13 +139,7 @@ mod tests {
         let s = r.stats();
         assert_eq!(s.total_bytes, 192);
         assert_eq!(s.num_blocks, 12);
-        // Uniform within one element, but extent (136) ≠ runs × stride
-        // (160): the pattern breaks across the 3 elements, so the
-        // count-resolved plan degrades to the generic walk.
-        assert_eq!(r.class(), LayoutClass::Generic);
-        let (stats, class) = FusionRequest::classify(&r.layout, 1);
-        assert_eq!(stats.num_blocks, 4);
-        assert_eq!(class, LayoutClass::FixedRuns, "single element is uniform");
+        assert_eq!(FusionRequest::shape_of(&r.layout, 1).num_blocks, 4);
     }
 
     #[test]

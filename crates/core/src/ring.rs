@@ -77,7 +77,7 @@ impl RequestRing {
         }
         let uid = Uid(self.next_uid);
         self.next_uid += 1;
-        let (stats, class) = FusionRequest::classify(&layout, count);
+        let stats = FusionRequest::shape_of(&layout, count);
         self.slots[idx] = Some(FusionRequest {
             uid,
             op,
@@ -86,7 +86,6 @@ impl RequestRing {
             layout,
             count,
             stats,
-            class,
             bw_cap,
             request_status: Status::Pending,
             response_status: Status::Idle,

@@ -21,7 +21,7 @@ use crate::adapt::{AdaptiveThreshold, FlushFeedback};
 use crate::config::FusionConfig;
 use crate::request::{FusionOp, FusionRequest, Status, Uid};
 use crate::ring::{EnqueueError, RequestRing};
-use fusedpack_datatype::{Layout, LayoutClass};
+use fusedpack_datatype::Layout;
 use fusedpack_gpu::{DevPtr, FusedLaunch, FusedWork, Gpu, GpuArch, StreamId};
 use fusedpack_sim::{Duration, Time};
 use fusedpack_telemetry::{FlushReasonTag, Lane, Payload, Telemetry};
@@ -82,10 +82,6 @@ pub struct SchedStats {
     /// Flushes that degraded to per-request (non-fused) kernels because the
     /// cooperative launch failed. Zero on fault-free runs.
     pub degraded_flushes: u64,
-    /// Accepted enqueues per copy-plan class, indexed by
-    /// [`LayoutClass::index`] in ladder order (contiguous, block-uniform,
-    /// fixed-runs, generic). Sums to `enqueued`.
-    pub class_counts: [u64; LayoutClass::COUNT],
 }
 
 impl SchedStats {
@@ -185,12 +181,10 @@ impl Scheduler {
         bw_cap: Option<f64>,
     ) -> (Result<Uid, EnqueueError>, Duration) {
         let bytes = layout.total_bytes(count);
-        let class = layout.plan_for(count).class();
         let res = self.ring.enqueue(op, origin, target, layout, count, bw_cap);
         match res {
             Ok(uid) => {
                 self.stats.enqueued += 1;
-                self.stats.class_counts[class.index()] += 1;
                 let occupancy = self.ring.occupied() as u32;
                 self.tele.instant(Lane::Host, now, || Payload::Enqueue {
                     uid: uid.0,

@@ -20,8 +20,12 @@
 //!   per-run table walk).
 //! * [`LayoutClass::FixedRuns`] — equal-length *small* runs at a
 //!   constant stride: const-generic fixed-width moves (the PR-7 tier).
-//! * [`LayoutClass::Generic`] — irregular; the segment-table walk with
-//!   precomputed prefix sums.
+//! * [`LayoutClass::Generic`] — irregular; the segment-table walk. The
+//!   pass also records the run width every segment shares
+//!   ([`CompiledLayout::run_width`], 0 for mixed widths): equal-width
+//!   irregular layouts, such as thousands of single floats at scattered
+//!   offsets, then move each run with a fixed-width copy at packed offset
+//!   `j * width`; mixed widths walk the precomputed prefix sums.
 
 use crate::flatten::emit_ir_segments;
 use crate::ir::LayoutIr;
@@ -45,32 +49,6 @@ pub enum LayoutClass {
     FixedRuns,
     /// Irregular: generic segment walk.
     Generic,
-}
-
-impl LayoutClass {
-    /// Number of classes in the ladder (sizes per-class counter arrays).
-    pub const COUNT: usize = 4;
-
-    /// Stable lowercase name (telemetry / report labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            LayoutClass::Contiguous => "contiguous",
-            LayoutClass::BlockUniform => "block_uniform",
-            LayoutClass::FixedRuns => "fixed_runs",
-            LayoutClass::Generic => "generic",
-        }
-    }
-
-    /// Dense index in ladder order (for `[u64; LayoutClass::COUNT]`
-    /// counter arrays).
-    pub fn index(self) -> usize {
-        match self {
-            LayoutClass::Contiguous => 0,
-            LayoutClass::BlockUniform => 1,
-            LayoutClass::FixedRuns => 2,
-            LayoutClass::Generic => 3,
-        }
-    }
 }
 
 /// The resolved copy plan for `count` elements of a compiled layout —
@@ -126,6 +104,10 @@ pub struct CompiledLayout {
     uniform: Option<UniformInfo>,
     /// The class this element's shape falls into.
     class: LayoutClass,
+    /// The length every segment shares, or 0 when lengths differ (see
+    /// [`Self::run_width`]). A `u32` sits in the padding after `class`, so
+    /// the struct stays 112 bytes.
+    run_width: u32,
 }
 
 /// Compile-time fixed-stride classification of one element.
@@ -172,6 +154,17 @@ fn classify_uniform(segments: &[Segment], extent: u64) -> Option<UniformInfo> {
         per_elem,
         tiles: extent == per_elem * stride,
     })
+}
+
+/// The one length every segment shares; 0 for mixed lengths, an empty
+/// table, or a width too wide for `u32`.
+fn common_run_width(segments: &[Segment]) -> u32 {
+    match segments.first() {
+        Some(first) if segments.iter().all(|s| s.len == first.len) => {
+            u32::try_from(first.len).unwrap_or(0)
+        }
+        _ => 0,
+    }
 }
 
 fn prefix_sums(segments: &[Segment]) -> Vec<u64> {
@@ -225,6 +218,7 @@ impl CompiledLayout {
         let class = classify(&segments, size, &uniform);
         CompiledLayout {
             packed_off: prefix_sums(&segments),
+            run_width: common_run_width(&segments),
             uniform,
             class,
             segments,
@@ -262,6 +256,15 @@ impl CompiledLayout {
     /// The compile-time class of one element's shape.
     pub fn class(&self) -> LayoutClass {
         self.class
+    }
+
+    /// The run width every segment shares, recorded once at compile time,
+    /// or 0 when segment lengths differ. When it is nonzero the packed
+    /// image of segment `j` sits at `j * run_width`, so the `Generic` tier
+    /// can move each run with the same width-specialised copy the uniform
+    /// tiers use instead of reading the prefix sums.
+    pub fn run_width(&self) -> u64 {
+        u64::from(self.run_width)
     }
 
     /// Approximate bytes this compiled layout keeps resident (cache
@@ -503,10 +506,31 @@ mod tests {
     }
 
     #[test]
-    fn class_names_are_stable() {
-        assert_eq!(LayoutClass::Contiguous.name(), "contiguous");
-        assert_eq!(LayoutClass::BlockUniform.name(), "block_uniform");
-        assert_eq!(LayoutClass::FixedRuns.name(), "fixed_runs");
-        assert_eq!(LayoutClass::Generic.name(), "generic");
+    fn run_width_is_the_shared_segment_length() {
+        // Irregular offsets, equal 4-byte runs: Generic with a run width.
+        let sparse = CompiledLayout::of(&TypeBuilder::indexed_block(
+            &[0, 3, 7, 12],
+            1,
+            TypeBuilder::float(),
+        ));
+        assert_eq!(sparse.class(), LayoutClass::Generic);
+        assert_eq!(sparse.run_width(), 4);
+        // Uniform layouts record their run length too.
+        let v = CompiledLayout::of(&TypeBuilder::vector(4, 1, 3, TypeBuilder::double()));
+        assert_eq!(v.run_width(), 8);
+        // Mixed widths have none.
+        let mixed = CompiledLayout::of(&TypeBuilder::indexed(
+            &[(0, 1), (4, 2), (9, 1)],
+            TypeBuilder::float(),
+        ));
+        assert_eq!(mixed.run_width(), 0);
+        assert_eq!(CompiledLayout::from_segments(Vec::new(), 0).run_width(), 0);
+    }
+
+    #[test]
+    fn run_width_fits_the_padding() {
+        // resident_bytes() counts the struct itself, and the serve golden
+        // pins the layout cache's resident bytes.
+        assert_eq!(std::mem::size_of::<CompiledLayout>(), 112);
     }
 }

@@ -14,14 +14,64 @@
 //!   the power-of-two widths;
 //! * `BlockUniform` — wider runs at a constant stride, each moved as
 //!   64-byte chunks plus one tail;
-//! * `Generic` — the segment-table walk driven by the layout's
-//!   packed-offset prefix sums.
+//! * `Generic` — the segment-table walk. When every segment shares one
+//!   width ([`Layout::run_width`], recorded at compile time — the sparse
+//!   `specfem3D` halos are all 4-byte runs), it visits the table's offsets
+//!   and moves each run with the same width-specialised copy the uniform
+//!   tiers use, the packed offset of run `j` being `j * width`. Mixed
+//!   widths walk the packed-offset prefix sums.
+//!
+//! One width dispatch, `with_run_copy!`, picks the run copy for both the
+//! strided walk of the uniform tiers and the `Generic` table walk: a
+//! fixed-width move for 2/4/8/16/32 bytes, 64-byte chunks above
+//! [`crate::compile::FIXED_RUN_WIDTH_MAX`], and a variable-length copy for
+//! any other width.
 //!
 //! [`pack_into_generic`] and [`unpack_generic`] are the reference oracle
-//! the tests and benches compare the tiers against.
+//! the tests and benches compare the tiers against; they are also the
+//! mixed-width `Generic` walk itself.
 
 use crate::compile::{CopyPlan, FIXED_RUN_WIDTH_MAX};
 use crate::layout::{Layout, UniformPlan};
+
+/// The one width dispatch: evaluate `$body` with `$copy` bound to the run
+/// copy for `$width`-byte runs — a fixed-width move for the power-of-two
+/// widths up to [`FIXED_RUN_WIDTH_MAX`], 64-byte chunks above it, and a
+/// variable-length copy otherwise.
+macro_rules! with_run_copy {
+    ($width:expr, |$copy:ident| $body:expr) => {
+        match $width {
+            2 => {
+                let $copy = copy_fixed::<2>;
+                $body
+            }
+            4 => {
+                let $copy = copy_fixed::<4>;
+                $body
+            }
+            8 => {
+                let $copy = copy_fixed::<8>;
+                $body
+            }
+            16 => {
+                let $copy = copy_fixed::<16>;
+                $body
+            }
+            32 => {
+                let $copy = copy_fixed::<32>;
+                $body
+            }
+            w if w > FIXED_RUN_WIDTH_MAX => {
+                let $copy = copy_chunked;
+                $body
+            }
+            _ => {
+                let $copy = copy_run;
+                $body
+            }
+        }
+    };
+}
 
 /// Pack `count` elements laid out per `layout` starting at `src\[0\]` into a
 /// contiguous buffer. Returns the packed bytes.
@@ -44,16 +94,19 @@ pub fn pack_into(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
             let n = dst.len();
             dst.copy_from_slice(&src[..n]);
         }
-        CopyPlan::BlockUniform(plan) | CopyPlan::FixedRuns(plan) => match plan.len {
-            2 => gather_runs(src, &plan, dst, copy_fixed::<2>),
-            4 => gather_runs(src, &plan, dst, copy_fixed::<4>),
-            8 => gather_runs(src, &plan, dst, copy_fixed::<8>),
-            16 => gather_runs(src, &plan, dst, copy_fixed::<16>),
-            32 => gather_runs(src, &plan, dst, copy_fixed::<32>),
-            n if n > FIXED_RUN_WIDTH_MAX => gather_runs(src, &plan, dst, copy_chunked),
-            _ => gather_runs(src, &plan, dst, copy_run),
+        CopyPlan::BlockUniform(plan) | CopyPlan::FixedRuns(plan) => {
+            let starts = strided(&plan);
+            with_run_copy!(plan.len, |copy| gather(src, starts, plan.len, dst, copy))
+        }
+        CopyPlan::Generic => match layout.run_width() {
+            0 => pack_into_generic(src, layout, count, dst),
+            w => with_run_copy!(w, |copy| {
+                let (size, extent) = (layout.size() as usize, layout.extent() as usize);
+                for (i, elem) in dst.chunks_exact_mut(size).enumerate() {
+                    gather(&src[i * extent..], table(layout), w, elem, copy);
+                }
+            }),
         },
-        CopyPlan::Generic => pack_into_generic(src, layout, count, dst),
     }
 }
 
@@ -70,42 +123,63 @@ pub fn unpack(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
             let n = src.len();
             dst[..n].copy_from_slice(src);
         }
-        CopyPlan::BlockUniform(plan) | CopyPlan::FixedRuns(plan) => match plan.len {
-            2 => scatter_runs(src, &plan, dst, copy_fixed::<2>),
-            4 => scatter_runs(src, &plan, dst, copy_fixed::<4>),
-            8 => scatter_runs(src, &plan, dst, copy_fixed::<8>),
-            16 => scatter_runs(src, &plan, dst, copy_fixed::<16>),
-            32 => scatter_runs(src, &plan, dst, copy_fixed::<32>),
-            n if n > FIXED_RUN_WIDTH_MAX => scatter_runs(src, &plan, dst, copy_chunked),
-            _ => scatter_runs(src, &plan, dst, copy_run),
+        CopyPlan::BlockUniform(plan) | CopyPlan::FixedRuns(plan) => {
+            let starts = strided(&plan);
+            with_run_copy!(plan.len, |copy| scatter(src, starts, plan.len, dst, copy))
+        }
+        CopyPlan::Generic => match layout.run_width() {
+            0 => unpack_generic(src, layout, count, dst),
+            w => with_run_copy!(w, |copy| {
+                let (size, extent) = (layout.size() as usize, layout.extent() as usize);
+                for (i, elem) in src.chunks_exact(size).enumerate() {
+                    scatter(elem, table(layout), w, &mut dst[i * extent..], copy);
+                }
+            }),
         },
-        CopyPlan::Generic => unpack_generic(src, layout, count, dst),
     }
 }
 
-/// Gather `plan.runs` runs of `plan.len` bytes at a constant source stride
-/// into the packed `dst`, moving each run with `copy`.
+/// The start of every run of a fixed-stride plan, in pack order.
+fn strided(plan: &UniformPlan) -> impl Iterator<Item = usize> {
+    let (first, stride) = (plan.first as usize, plan.stride as usize);
+    (0..plan.runs as usize).map(move |j| first + j * stride)
+}
+
+/// The start of every segment of one element, read from the layout's
+/// segment table.
+fn table(layout: &Layout) -> impl Iterator<Item = usize> + '_ {
+    layout.segments().iter().map(|s| s.offset as usize)
+}
+
+/// Gather `len`-byte runs starting at `starts` into the packed `dst`, one
+/// after another, moving each run with `copy`.
 #[inline(always)]
-fn gather_runs(src: &[u8], plan: &UniformPlan, dst: &mut [u8], copy: impl Fn(&[u8], &mut [u8])) {
-    debug_assert_eq!(dst.len() as u64, plan.runs * plan.len);
-    let (len, stride) = (plan.len as usize, plan.stride as usize);
-    let mut lo = plan.first as usize;
-    for run in dst.chunks_exact_mut(len) {
+fn gather(
+    src: &[u8],
+    starts: impl Iterator<Item = usize>,
+    len: u64,
+    dst: &mut [u8],
+    copy: impl Fn(&[u8], &mut [u8]),
+) {
+    let len = len as usize;
+    for (lo, run) in starts.zip(dst.chunks_exact_mut(len)) {
         copy(&src[lo..lo + len], run);
-        lo += stride;
     }
 }
 
-/// Scatter counterpart of [`gather_runs`]: the packed `src` out to runs at
-/// a constant destination stride.
+/// Scatter counterpart of [`gather`]: consecutive `len`-byte runs of the
+/// packed `src` out to `starts` in `dst`.
 #[inline(always)]
-fn scatter_runs(src: &[u8], plan: &UniformPlan, dst: &mut [u8], copy: impl Fn(&[u8], &mut [u8])) {
-    debug_assert_eq!(src.len() as u64, plan.runs * plan.len);
-    let (len, stride) = (plan.len as usize, plan.stride as usize);
-    let mut lo = plan.first as usize;
-    for run in src.chunks_exact(len) {
+fn scatter(
+    src: &[u8],
+    starts: impl Iterator<Item = usize>,
+    len: u64,
+    dst: &mut [u8],
+    copy: impl Fn(&[u8], &mut [u8]),
+) {
+    let len = len as usize;
+    for (lo, run) in starts.zip(src.chunks_exact(len)) {
         copy(run, &mut dst[lo..lo + len]);
-        lo += stride;
     }
 }
 
@@ -137,8 +211,8 @@ fn copy_run(src: &[u8], dst: &mut [u8]) {
     dst.copy_from_slice(src);
 }
 
-/// The generic segment-table walk: the `Generic` tier, and the reference
-/// oracle every other tier is tested against.
+/// The prefix-sum segment-table walk: the `Generic` tier for mixed run
+/// widths, and the reference oracle every other walk is tested against.
 pub fn pack_into_generic(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
     assert_eq!(
         dst.len() as u64,
@@ -159,8 +233,8 @@ pub fn pack_into_generic(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]
     }
 }
 
-/// Scatter counterpart of [`pack_into_generic`]: the `Generic` tier of
-/// [`unpack`] and its reference oracle.
+/// Scatter counterpart of [`pack_into_generic`]: the mixed-width
+/// `Generic` tier of [`unpack`] and its reference oracle.
 pub fn unpack_generic(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
     assert_eq!(
         src.len() as u64,
@@ -292,6 +366,41 @@ mod tests {
         assert_eq!(scat_fast, scat_gen);
     }
 
+    #[test]
+    fn equal_width_generic_walk_matches_oracle() {
+        let disps = [0u64, 1, 3, 6, 7, 12];
+        for width in [2u64, 3, 4, 8, 16, 32, 40] {
+            // Scale the irregular pattern so the blocks never abut.
+            let scaled: Vec<u64> = disps.iter().map(|d| d * (width + 1)).collect();
+            let l = Layout::of(&TypeBuilder::indexed_block(
+                &scaled,
+                width,
+                TypeBuilder::byte(),
+            ));
+            assert_eq!(l.run_width(), width);
+            for count in 1..4 {
+                assert_eq!(l.plan_for(count), crate::compile::CopyPlan::Generic);
+                let src: Vec<u8> = (0..l.footprint(count))
+                    .map(|i| (i * 7 % 251) as u8)
+                    .collect();
+                let mut fast = vec![0u8; l.total_bytes(count) as usize];
+                let mut oracle = fast.clone();
+                pack_into(&src, &l, count, &mut fast);
+                pack_into_generic(&src, &l, count, &mut oracle);
+                assert_eq!(fast, oracle, "pack, width {width}, count {count}");
+
+                let mut scat_fast = vec![0xEE; l.footprint(count) as usize];
+                let mut scat_oracle = scat_fast.clone();
+                unpack(&fast, &l, count, &mut scat_fast);
+                unpack_generic(&oracle, &l, count, &mut scat_oracle);
+                assert_eq!(
+                    scat_fast, scat_oracle,
+                    "unpack, width {width}, count {count}"
+                );
+            }
+        }
+    }
+
     /// Strategy: byte vectors whose single-element plan is `FixedRuns`
     /// with runs of exactly `width` bytes.
     fn fixed_runs(width: u64) -> impl Strategy<Value = std::sync::Arc<crate::typedesc::TypeDesc>> {
@@ -300,9 +409,63 @@ mod tests {
         })
     }
 
+    /// Strategy: 2..8 displacements with irregular gaps of 1..8 bytes
+    /// after each `width`-byte block, so blocks never abut.
+    fn irregular_disps(width: u64) -> impl Strategy<Value = Vec<u64>> {
+        prop::collection::vec(1u64..8, 2..8).prop_map(move |gaps| {
+            let mut next = 0;
+            gaps.into_iter()
+                .map(|gap| {
+                    let d = next;
+                    next = d + width + gap;
+                    d
+                })
+                .collect()
+        })
+    }
+
+    /// Strategy: `width`-byte blocks at irregular offsets, the shape whose
+    /// plan is `Generic` with a nonzero run width.
+    fn equal_width_runs(
+        width: u64,
+    ) -> impl Strategy<Value = std::sync::Arc<crate::typedesc::TypeDesc>> {
+        irregular_disps(width)
+            .prop_map(move |disps| TypeBuilder::indexed_block(&disps, width, TypeBuilder::byte()))
+    }
+
+    /// Strategy: byte blocks of at least two different lengths at
+    /// irregular offsets, the shape that keeps the prefix-sum walk.
+    fn mixed_width_runs() -> impl Strategy<Value = std::sync::Arc<crate::typedesc::TypeDesc>> {
+        prop::collection::vec((1u64..8, 1u64..40), 2..8).prop_map(|raw| {
+            let mut next = 0;
+            let mut blocks: Vec<(u64, u64)> = raw
+                .into_iter()
+                .map(|(gap, len)| {
+                    let d = next;
+                    next = d + len + gap;
+                    (d, len)
+                })
+                .collect();
+            if blocks.iter().all(|b| b.1 == blocks[0].1) {
+                blocks.last_mut().expect("two blocks").1 += 1;
+            }
+            TypeBuilder::indexed(&blocks, TypeBuilder::byte())
+        })
+    }
+
     /// Strategy: a random (but valid) datatype with modest sizes.
     fn arb_type() -> impl Strategy<Value = std::sync::Arc<crate::typedesc::TypeDesc>> {
         prop_oneof![
+            // Equal-width runs at irregular offsets, one arm per width
+            // kernel of the Generic tier's run-width walk, and mixed widths.
+            equal_width_runs(2),
+            equal_width_runs(4),
+            equal_width_runs(8),
+            equal_width_runs(16),
+            equal_width_runs(32),
+            equal_width_runs(3),
+            equal_width_runs(40),
+            mixed_width_runs(),
             // One arm per fixed-width kernel, plus an odd width that takes
             // the variable-length run copy.
             fixed_runs(2),
@@ -348,6 +511,9 @@ mod tests {
     }
 
     proptest! {
+        // Enough cases that every `arb_type` arm is drawn a few dozen times.
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
         /// unpack(pack(x)) restores exactly the bytes the layout touches.
         #[test]
         fn pack_unpack_roundtrip(t in arb_type(), count in 1u64..4, seed in 0u64..1000) {

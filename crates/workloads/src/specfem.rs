@@ -116,4 +116,18 @@ mod tests {
             "gaps make footprint larger"
         );
     }
+
+    #[test]
+    fn sparse_layouts_take_the_equal_width_walk() {
+        use fusedpack_datatype::{CopyPlan, Layout};
+        let oc = Layout::of(&specfem3d_oc(512).desc);
+        let cm = Layout::of(&specfem3d_cm(512).desc);
+        for l in [&oc, &cm] {
+            assert_eq!(l.plan_for(1), CopyPlan::Generic);
+            assert_eq!(l.run_width(), 4, "one float per boundary point");
+        }
+        // 112 B of struct + 512 segments x 16 B + 512 prefix sums x 8 B:
+        // recording the run width added no resident byte.
+        assert_eq!(oc.resident_bytes(), 12_400);
+    }
 }
