@@ -8,7 +8,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fusedpack_core::{FlushReason, FusionConfig, FusionOp, Scheduler, Uid};
-use fusedpack_datatype::{pack, Layout, LayoutClass, TypeBuilder};
+use fusedpack_datatype::cache::DEFAULT_CAPACITY;
+use fusedpack_datatype::{pack, CompileMemo, Layout, LayoutCache, LayoutClass, TypeBuilder};
 use fusedpack_gpu::{BufferPool, DataMode, DevPtr, Gpu, GpuArch, HostLink, StreamId};
 use fusedpack_sim::{EventQueue, FaultPlan, FaultSite, Time};
 use fusedpack_workloads::specfem::{specfem3d_cm, specfem3d_oc};
@@ -236,6 +237,34 @@ fn bench_generic_mixed_tier(c: &mut Criterion) {
     assert_eq!(layout.plan_for(1).class(), LayoutClass::Generic);
     assert_eq!(layout.run_width(), 0);
     bench_executor(c, "hotpaths/generic_mixed", ["pack", "unpack"], &layout);
+}
+
+/// First commits of `specfem3d_cm(512)` by 512 ranks, the halo workloads'
+/// set-up: `shared_memo_x512` builds each rank's cache on one compile memo
+/// the way `ClusterBuilder::build` does (one compile, 511 shared clones);
+/// `private_x512` gives every cache its own memo (512 compiles).
+fn bench_commit(c: &mut Criterion) {
+    let desc = specfem3d_cm(512).desc;
+    let commit_all = |cache: &mut dyn FnMut() -> LayoutCache| {
+        (0..512)
+            .map(|_| {
+                let mut c = cache();
+                c.commit(black_box(&desc));
+                c
+            })
+            .collect::<Vec<_>>()
+    };
+    let mut g = c.benchmark_group("hotpaths/commit");
+    g.bench_function("shared_memo_x512", |b| {
+        b.iter(|| {
+            let memo = CompileMemo::new();
+            commit_all(&mut || LayoutCache::with_memo(DEFAULT_CAPACITY, memo.clone()))
+        })
+    });
+    g.bench_function("private_x512", |b| {
+        b.iter(|| commit_all(&mut LayoutCache::new))
+    });
+    g.finish();
 }
 
 /// One scheduler service cycle: 64 enqueues with a threshold check after
@@ -632,6 +661,7 @@ criterion_group!(
     bench_generic_tier,
     bench_generic_mixed_tier,
     bench_block_uniform_tier,
+    bench_commit,
     bench_scheduler,
     bench_fault_hooks,
     bench_topology,

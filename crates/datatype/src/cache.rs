@@ -27,6 +27,13 @@
 //!   permanent, like an `MPI_Datatype`. Eviction drops only the compiled
 //!   artifact; a later `acquire` or `commit` recompiles from the retained
 //!   descriptor (counted as a miss).
+//! * **Compiled once per cluster** — a miss takes its layout from a
+//!   [`CompileMemo`], compiling only if no cache sharing the memo has
+//!   compiled a structurally identical type before. A cluster hands one
+//!   memo to every rank, so 512 ranks committing the same halo type pay
+//!   one host compile, not 512. Virtual time and counters are untouched:
+//!   each rank still counts the miss and charges the flatten cost, and
+//!   wraps the layout in its own `Arc`, so pins stay per rank.
 //! * **Telemetry** — hit/miss/eviction counters plus resident bytes and
 //!   the residency high-water mark, surfaced as [`LayoutCacheStats`] in
 //!   `RunReport` and as `Payload::LayoutCacheHealth` instants.
@@ -41,7 +48,7 @@ use crate::compile::CompiledLayout;
 use crate::typedesc::TypeDesc;
 use fusedpack_sim::Duration;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Handle to a committed datatype (the engine's `MPI_Datatype`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -133,7 +140,34 @@ pub fn parse_cost(blocks: u64) -> Duration {
 /// Default bound on resident compiled layouts per rank. Real runs hold a
 /// handful of types, so they never evict; tests shrink the bound with
 /// [`LayoutCache::with_capacity`] to exercise the LRU.
-const DEFAULT_CAPACITY: usize = 256;
+pub const DEFAULT_CAPACITY: usize = 256;
+
+/// Compiled layouts shared by every [`LayoutCache`] built on the same memo,
+/// keyed by structural equality like the caches' own `by_desc`. Cloning the
+/// memo shares it. The memo never evicts: it holds one copy of each
+/// distinct type's tables for the host, while each cache models the
+/// residency of its own rank's private copy.
+#[derive(Debug, Clone, Default)]
+pub struct CompileMemo(Arc<Mutex<HashMap<TypeDesc, CompiledLayout>>>);
+
+impl CompileMemo {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The compiled layout of `desc`: a clone of the memoized one (its
+    /// tables are shared, so this is two refcount bumps), compiling and
+    /// memoizing it first if no sharer has. The lock is held across the
+    /// compile so a type is compiled once however many threads ask; a
+    /// panic on another thread leaves the map consistent, so a poisoned
+    /// lock is simply taken over.
+    pub fn compile(&self, desc: &TypeDesc) -> CompiledLayout {
+        let mut memo = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        memo.entry(desc.clone())
+            .or_insert_with(|| CompiledLayout::of(desc))
+            .clone()
+    }
+}
 
 /// One committed type: its descriptor, kept so an evicted layout can be
 /// recompiled, and its compiled layout while resident.
@@ -155,6 +189,8 @@ pub struct LayoutCache {
     capacity: usize,
     tick: u64,
     stats: LayoutCacheStats,
+    /// Where misses get their layouts.
+    memo: CompileMemo,
 }
 
 impl Default for LayoutCache {
@@ -168,14 +204,22 @@ impl LayoutCache {
         Self::default()
     }
 
-    /// A cache holding at most `capacity` (at least 1) unpinned layouts.
+    /// A cache holding at most `capacity` (at least 1) unpinned layouts,
+    /// compiling into a private memo.
     pub fn with_capacity(capacity: usize) -> Self {
+        Self::with_memo(capacity, CompileMemo::new())
+    }
+
+    /// A cache holding at most `capacity` (at least 1) unpinned layouts
+    /// whose misses share `memo` with every other cache built on it.
+    pub fn with_memo(capacity: usize, memo: CompileMemo) -> Self {
         LayoutCache {
             slots: Vec::new(),
             by_desc: HashMap::new(),
             capacity: capacity.max(1),
             tick: 0,
             stats: LayoutCacheStats::default(),
+            memo,
         }
     }
 
@@ -247,7 +291,7 @@ impl LayoutCache {
                 (Arc::clone(layout), true)
             }
             None => {
-                let layout = Arc::new(CompiledLayout::of(&slot.desc));
+                let layout = Arc::new(self.memo.compile(&slot.desc));
                 slot.layout = Some(Arc::clone(&layout));
                 stats.misses += 1;
                 stats.resident_entries += 1;
@@ -452,5 +496,19 @@ mod tests {
             merged.high_water_bytes(),
             a.layout_stats().high_water_bytes() + b.layout_stats().high_water_bytes()
         );
+    }
+
+    #[test]
+    fn sharing_caches_compile_once_and_keep_their_own_arcs() {
+        let memo = CompileMemo::new();
+        let mut a = LayoutCache::with_memo(DEFAULT_CAPACITY, memo.clone());
+        let mut b = LayoutCache::with_memo(DEFAULT_CAPACITY, memo);
+        let (ha, cost_a) = a.commit(&distinct_type(0));
+        let (hb, cost_b) = b.commit(&distinct_type(0));
+        assert_eq!(cost_a, cost_b, "every rank charges its own flatten");
+        assert_eq!(a.layout_stats(), b.layout_stats());
+        let (la, lb) = (a.acquire(ha), b.acquire(hb));
+        assert!(!Arc::ptr_eq(&la, &lb), "pins stay per rank");
+        assert_eq!(la.segments().as_ptr(), lb.segments().as_ptr());
     }
 }

@@ -17,7 +17,9 @@
 //! 3. **Cache** ([`cache`]): compiled layouts are cached following the
 //!    scheme of Chu et al. \[24\] in a per-rank, LRU-bounded
 //!    [`LayoutCache`]: one table indexed by handle, deduplicated by
-//!    structural equality of the committed types.
+//!    structural equality of the committed types. Caches that share a
+//!    [`CompileMemo`] (every rank of a cluster) compile each distinct
+//!    type once between them.
 //!
 //! The compiled layout is the lingua franca of the whole workspace: the
 //! GPU kernel cost model consumes its [`shape`](layout::Layout::shape),
@@ -35,7 +37,7 @@ pub mod pack;
 pub mod typedesc;
 
 pub use builder::TypeBuilder;
-pub use cache::{LayoutCache, LayoutCacheStats, TypeHandle};
+pub use cache::{CompileMemo, LayoutCache, LayoutCacheStats, TypeHandle};
 pub use compile::{CompiledLayout, CopyPlan, LayoutClass, FIXED_RUN_WIDTH_MAX};
 pub use ir::{IrNode, LayoutIr};
 pub use layout::{AbsSegments, Layout, Segment, UniformPlan};

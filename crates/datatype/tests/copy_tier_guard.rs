@@ -13,33 +13,12 @@
 
 #![cfg(not(debug_assertions))]
 
-use fusedpack_datatype::pack::{pack_into, pack_into_generic, unpack, unpack_generic};
-use fusedpack_datatype::{CopyPlan, Layout, TypeBuilder, TypeDesc};
-use fusedpack_sim::Pcg32;
-use std::sync::Arc;
-use std::time::Instant;
+mod common;
 
-/// The shape of `fusedpack_workloads::specfem3d_cm(512)`: three fields of
-/// 512 single floats at irregular gaps of 2-4 elements, the fields 64-byte
-/// aligned apart.
-fn specfem3d_cm_512() -> Arc<TypeDesc> {
-    let mut rng = Pcg32::new(0xc3, 0x5eef);
-    let mut disp = 0u64;
-    let disps: Vec<u64> = (0..512)
-        .map(|_| {
-            let d = disp;
-            disp += 2 + rng.next_below(3) as u64;
-            d
-        })
-        .collect();
-    let field = TypeBuilder::indexed_block(&disps, 1, TypeBuilder::float());
-    let stride = (field.extent() + 63) & !63;
-    TypeBuilder::structure(&[
-        (0, 1, field.clone()),
-        (stride, 1, field.clone()),
-        (2 * stride, 1, field),
-    ])
-}
+use common::{median, specfem3d_cm_512};
+use fusedpack_datatype::pack::{pack_into, pack_into_generic, unpack, unpack_generic};
+use fusedpack_datatype::{CopyPlan, Layout};
+use std::time::Instant;
 
 /// One timed batch of `per_batch` pack + unpack round trips, in ns per
 /// round trip.
@@ -49,11 +28,6 @@ fn batch_ns(mut round: impl FnMut(), per_batch: u32) -> f64 {
         round();
     }
     start.elapsed().as_nanos() as f64 / per_batch as f64
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    samples[samples.len() / 2]
 }
 
 #[test]

@@ -9,9 +9,11 @@
 //!
 //! Also here: the layout cache's laws — it must never evict a compiled
 //! layout while an in-flight request still holds its `Arc`, its counters
-//! must balance, and its bound is soft only as far as pins force it.
+//! must balance, and its bound is soft only as far as pins force it; and
+//! caches that share a compile memo must behave exactly like caches with
+//! private ones.
 
-use fusedpack_datatype::cache::{LayoutCache, TypeHandle};
+use fusedpack_datatype::cache::{CompileMemo, LayoutCache, TypeHandle};
 use fusedpack_datatype::flatten::{flatten, flatten_reference};
 use fusedpack_datatype::ir::LayoutIr;
 use fusedpack_datatype::pack::{pack_into, pack_into_generic, unpack, unpack_generic};
@@ -218,6 +220,53 @@ proptest! {
                 stats.resident_entries(),
                 bound
             );
+        }
+    }
+
+    /// Sharing a compile memo is invisible to the caches: three caches on
+    /// one memo and three on private memos, driven through the same random
+    /// commit / acquire / pin sequence at capacity 2, agree on every
+    /// handle, cost, counter and layout. The sharing caches still hand out
+    /// their own `Arc`s (pins stay per rank) over one copy of the tables.
+    #[test]
+    fn shared_memo_matches_private_caches(
+        ops in prop::collection::vec((0usize..3, 0u64..8, 0u8..3), 1..80),
+    ) {
+        const CAPACITY: usize = 2;
+        let memo = CompileMemo::new();
+        let mut shared: Vec<LayoutCache> =
+            (0..3).map(|_| LayoutCache::with_memo(CAPACITY, memo.clone())).collect();
+        let mut private: Vec<LayoutCache> =
+            (0..3).map(|_| LayoutCache::with_capacity(CAPACITY)).collect();
+        let mut handles: HashMap<(usize, u64), TypeHandle> = HashMap::new();
+        let mut pins: HashMap<(usize, u64), [Arc<CompiledLayout>; 2]> = HashMap::new();
+        for (k, i, action) in ops {
+            let ty = TypeBuilder::vector(2, 1, 3 + i, TypeBuilder::double());
+            let (handle, cost) = shared[k].commit(&ty);
+            prop_assert_eq!((handle, cost), private[k].commit(&ty));
+            handles.insert((k, i), handle);
+            if action == 0 {
+                // Request retired: release the pin.
+                pins.remove(&(k, i));
+            } else {
+                let held = shared[k].acquire(handle);
+                let oracle = private[k].acquire(handle);
+                prop_assert_eq!(&*held, &*oracle);
+                for j in (0..3).filter(|&j| j != k) {
+                    let other = handles.get(&(j, i)).and_then(|h| shared[j].peek(*h));
+                    if let Some(other) = other {
+                        prop_assert!(!Arc::ptr_eq(&held, other), "ranks share one Arc");
+                        prop_assert_eq!(held.segments().as_ptr(), other.segments().as_ptr());
+                    }
+                }
+                if action == 2 {
+                    // Simulate an in-flight request holding the layout.
+                    pins.insert((k, i), [held, oracle]);
+                }
+            }
+            for (s, p) in shared.iter().zip(&private) {
+                prop_assert_eq!(s.layout_stats(), p.layout_stats());
+            }
         }
     }
 }

@@ -22,7 +22,7 @@ use crate::scheme::SchemeKind;
 use crate::sendrecv::{RecvId, SendId};
 use fusedpack_core::{SchedStats, Uid};
 use fusedpack_datatype::pack::{pack_into, unpack};
-use fusedpack_datatype::CompiledLayout;
+use fusedpack_datatype::{CompileMemo, CompiledLayout};
 use fusedpack_gpu::{BufferPool, DataMode, Gpu, MemPool};
 use fusedpack_net::platform::Platform;
 use fusedpack_net::topology::{validate_endpoint, Endpoint, FabricEvent};
@@ -229,6 +229,9 @@ impl ClusterBuilder {
         // Each rank occupies the next GPU slot on its node, in add order.
         let mut endpoints = Vec::new();
         let mut node_slots: HashMap<u32, u32> = HashMap::new();
+        // One compile memo per cluster: ranks committing the same type
+        // share one host compile and one copy of its tables.
+        let memo = CompileMemo::new();
 
         for (idx, (node, program)) in self.ranks.into_iter().enumerate() {
             let slot = node_slots.entry(node).or_insert(0);
@@ -244,7 +247,7 @@ impl ClusterBuilder {
             if !self.gdrcopy {
                 gpu.gdr = fusedpack_gpu::GdrWindow::unavailable();
             }
-            let mut rank = RankState::new(RankId(idx as u32), node, program);
+            let mut rank = RankState::new(RankId(idx as u32), node, program, memo.clone());
             // Allocate and initialize declared buffers.
             for decl in rank.program.buffers.clone() {
                 let ptr = gpu.mem.alloc(decl.len, 64);

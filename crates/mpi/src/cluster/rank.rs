@@ -7,7 +7,8 @@ use crate::message::WireMsg;
 use crate::program::Program;
 use crate::sendrecv::{PackState, RecvOp, SendOp};
 use fusedpack_core::{Scheduler, Uid};
-use fusedpack_datatype::{LayoutCache, TypeHandle};
+use fusedpack_datatype::cache::DEFAULT_CAPACITY;
+use fusedpack_datatype::{CompileMemo, LayoutCache, TypeHandle};
 use fusedpack_gpu::DevPtr;
 use fusedpack_sim::{Duration, Time};
 use fusedpack_telemetry::{SpanId, Telemetry};
@@ -104,7 +105,9 @@ pub(crate) struct RankState {
 }
 
 impl RankState {
-    pub fn new(id: RankId, node: u32, program: Program) -> Self {
+    /// A fresh rank whose layout cache compiles through the cluster's
+    /// shared `memo`.
+    pub fn new(id: RankId, node: u32, program: Program, memo: CompileMemo) -> Self {
         RankState {
             id,
             node,
@@ -115,7 +118,7 @@ impl RankState {
             done: false,
             bufs: Vec::new(),
             types: Vec::new(),
-            ddt_cache: LayoutCache::new(),
+            ddt_cache: LayoutCache::with_memo(DEFAULT_CAPACITY, memo),
             sends: Vec::new(),
             recvs: Vec::new(),
             unexpected: Vec::new(),
