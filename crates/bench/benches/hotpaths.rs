@@ -13,7 +13,7 @@ use fusedpack_datatype::{pack, CompileMemo, Layout, LayoutCache, LayoutClass, Ty
 use fusedpack_gpu::{BufferPool, DataMode, DevPtr, Gpu, GpuArch, HostLink, StreamId};
 use fusedpack_sim::{EventQueue, FaultPlan, FaultSite, Time};
 use fusedpack_workloads::specfem::{specfem3d_cm, specfem3d_oc};
-use fusedpack_workloads::{run_exchange_chaos, ExchangeConfig};
+use fusedpack_workloads::{run_exchange, ExchangeConfig};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -419,19 +419,21 @@ fn bench_fault_hooks(c: &mut Criterion) {
     // End to end: a small fused exchange simulated with no plan vs an
     // armed all-zero plan — the whole-pipeline cost of threading the
     // hooks through the pack/transfer/unpack fast paths.
-    let cfg = || {
-        ExchangeConfig::new(
+    let cfg = |plan: Option<FaultPlan>| {
+        let mut cfg = ExchangeConfig::new(
             fusedpack_net::Platform::lassen(),
             fusedpack_mpi::SchemeKind::fusion_default(),
             specfem3d_oc(500),
             4,
-        )
+        );
+        cfg.fault_plan = plan;
+        cfg
     };
     g.bench_function("exchange_no_plan", |b| {
-        b.iter(|| run_exchange_chaos(black_box(&cfg()), None))
+        b.iter(|| run_exchange(black_box(&cfg(None))))
     });
     g.bench_function("exchange_zero_probability_plan", |b| {
-        b.iter(|| run_exchange_chaos(black_box(&cfg()), Some(FaultPlan::new(0))))
+        b.iter(|| run_exchange(black_box(&cfg(Some(FaultPlan::new(0))))))
     });
     g.finish();
 }

@@ -47,6 +47,7 @@ pub fn measure(scheme: SchemeKind) -> PhaseShiftOutcome {
         &phase_b(),
         N_MSGS,
         LAPS_PER_PHASE,
+        None,
     )
 }
 
@@ -114,7 +115,6 @@ pub fn run() -> Table {
 mod tests {
     use super::*;
     use fusedpack_telemetry::{Payload, Telemetry};
-    use fusedpack_workloads::run_phase_shift_traced;
 
     #[test]
     fn adaptive_matches_best_static_on_phase_change() {
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn threshold_adjust_instants_reconcile_with_sched_stats() {
         let telemetry = Telemetry::enabled();
-        let out = run_phase_shift_traced(
+        let out = run_phase_shift(
             Platform::lassen(),
             SchemeKind::fusion_adaptive(),
             &phase_a(),

@@ -23,7 +23,7 @@ use fusedpack_mpi::SchemeKind;
 use fusedpack_net::Platform;
 use fusedpack_sim::{FaultPlan, FaultSite, FaultSpec};
 use fusedpack_workloads::{
-    nas::nas_mg_y, run_exchange_chaos, specfem::specfem3d_oc, ChaosOutcome, ExchangeConfig,
+    nas::nas_mg_y, run_exchange, specfem::specfem3d_oc, ExchangeConfig, ExchangeOutcome,
 };
 
 /// Fault-site groups, one table row per (profile, rate).
@@ -66,10 +66,15 @@ fn cell_seed(master: u64, w: usize, s: usize, p: usize, r: usize) -> u64 {
     x ^ (x >> 31)
 }
 
-fn config(scheme: SchemeKind, workload: fusedpack_workloads::Workload) -> ExchangeConfig {
+fn config(
+    scheme: SchemeKind,
+    workload: fusedpack_workloads::Workload,
+    plan: Option<FaultPlan>,
+) -> ExchangeConfig {
     let mut cfg = ExchangeConfig::new(Platform::lassen(), scheme, workload, N_MSGS);
     // Real bytes: the checksum is the point of this experiment.
     cfg.mode = DataMode::Full;
+    cfg.fault_plan = plan;
     cfg
 }
 
@@ -114,12 +119,12 @@ pub fn run() -> Table {
     // Flat cell list: for each (workload, scheme) a fault-free baseline,
     // then every (profile, rate) cell. The sweep executor reassembles in
     // this order regardless of --jobs.
-    let mut cells: Vec<Cell<ChaosOutcome>> = Vec::new();
+    let mut cells: Vec<Cell<ExchangeOutcome>> = Vec::new();
     for (wname, w) in &workloads {
         for (sname, scheme) in &schemes {
-            let cfg = config(scheme.clone(), w.clone());
+            let cfg = config(scheme.clone(), w.clone(), None);
             cells.push(Cell::new(format!("{wname}/{sname}/baseline"), move || {
-                run_exchange_chaos(&cfg, None)
+                run_exchange(&cfg)
             }));
             for (pi, (pname, sites)) in PROFILES.iter().enumerate() {
                 for (ri, &rate) in RATES.iter().enumerate() {
@@ -136,10 +141,10 @@ pub fn run() -> Table {
                     for &site in *sites {
                         plan = plan.with(site, FaultSpec::with_probability(rate));
                     }
-                    let cfg = config(scheme.clone(), w.clone());
+                    let cfg = config(scheme.clone(), w.clone(), Some(plan));
                     cells.push(Cell::new(
                         format!("{wname}/{sname}/{pname}@{rate}"),
-                        move || run_exchange_chaos(&cfg, Some(plan.clone())),
+                        move || run_exchange(&cfg),
                     ));
                 }
             }
@@ -224,10 +229,11 @@ mod tests {
     fn wire_faults_recover_with_identical_bytes() {
         // One representative cell end to end: a seeded wire profile must
         // inject, recover, and reproduce the fault-free checksum.
-        let base = run_exchange_chaos(
-            &config(SchemeKind::fusion_default(), specfem3d_oc(800)),
+        let base = run_exchange(&config(
+            SchemeKind::fusion_default(),
+            specfem3d_oc(800),
             None,
-        );
+        ));
         assert_eq!(base.clamps.count, 0, "{:?}", base.clamps);
         let mut plan = FaultPlan::new(cell_seed(42, 0, 0, 0, 1));
         for site in [
@@ -237,11 +243,13 @@ mod tests {
         ] {
             plan = plan.with(site, FaultSpec::with_probability(0.1));
         }
-        let out = run_exchange_chaos(
-            &config(SchemeKind::fusion_default(), specfem3d_oc(800)),
+        let out = run_exchange(&config(
+            SchemeKind::fusion_default(),
+            specfem3d_oc(800),
             Some(plan),
-        );
+        ));
         assert!(out.faults.injected > 0, "{:?}", out.faults);
+        assert!(base.checksum.is_some(), "Full mode hashes real bytes");
         assert_eq!(out.checksum, base.checksum, "recovery corrupted data");
         assert!(out.latency >= base.latency, "faults cannot speed a run up");
     }
@@ -257,12 +265,13 @@ mod tests {
         // degraded path to fire reliably on the per-(site, rank) streams.
         plan = plan.with(FaultSite::FusedLaunchFail, FaultSpec::with_probability(0.6));
         plan = plan.with(FaultSite::FusedFlagLost, FaultSpec::with_probability(0.3));
-        let out = run_exchange_chaos(
-            &config(SchemeKind::fusion_adaptive(), w.clone()),
+        let out = run_exchange(&config(
+            SchemeKind::fusion_adaptive(),
+            w.clone(),
             Some(plan),
-        );
+        ));
         assert!(out.faults.degraded > 0, "{:?}", out.faults);
-        let base = run_exchange_chaos(&config(SchemeKind::fusion_adaptive(), w), None);
+        let base = run_exchange(&config(SchemeKind::fusion_adaptive(), w, None));
         let faulty = out.sched.expect("adaptive stats").threshold_adjusts;
         let clean = base.sched.expect("adaptive stats").threshold_adjusts;
         assert!(

@@ -14,17 +14,19 @@
 //! Every plan is derived from the master `--seed` and the cell's grid
 //! coordinates (never from execution order), and the per-rank/keyed fault
 //! streams shard cleanly, so the table is byte-identical across runs,
-//! `--jobs` counts, and `--shards` counts — the CI `chaos-topo` job diffs
-//! all three.
+//! `--jobs` counts, and `--shards` counts — the CI `golden` job diffs it
+//! against its committed golden at `--jobs 1`, `--jobs 4` and
+//! `--shards 4`.
 
 use crate::exec::{self, Cell};
 use crate::figs::chaos_seed;
 use crate::table::{ratio, us, Table};
+use fusedpack_gpu::DataMode;
 use fusedpack_mpi::SchemeKind;
 use fusedpack_net::{Hierarchy, Platform, TopologyHandle};
 use fusedpack_sim::{FaultPlan, FaultSite, FaultSpec};
 use fusedpack_workloads::specfem::specfem3d_cm;
-use fusedpack_workloads::{run_halo_chaos, HaloChaosOutcome, HaloConfig, HaloGrid};
+use fusedpack_workloads::{run_halo, HaloConfig, HaloGrid, HaloOutcome};
 use std::sync::Arc;
 
 /// Torus extent per dimension (matches `reproduce topo`).
@@ -66,7 +68,7 @@ fn cell_seed(master: u64, scheme: usize, profile: usize) -> u64 {
 
 /// One grid cell: the torus halo on the Lassen-like fat tree with an
 /// optional fabric fault plan, at `grid`^3 ranks and the CLI shard count.
-pub fn measure(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>) -> HaloChaosOutcome {
+pub fn measure(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>) -> HaloOutcome {
     let nodes = grid * grid * grid / 4;
     let topo: TopologyHandle = Arc::new(Hierarchy::lassen_like(nodes));
     let mut cfg = HaloConfig::new(
@@ -78,10 +80,10 @@ pub fn measure(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>) -> HaloCh
     )
     .with_topology(topo)
     .with_shards(super::shards());
-    if let Some(plan) = plan {
-        cfg = cfg.with_fault_plan(plan);
-    }
-    run_halo_chaos(&cfg)
+    // Real bytes: the checksum is the point of this experiment.
+    cfg.mode = DataMode::Full;
+    cfg.fault_plan = plan;
+    run_halo(&cfg)
 }
 
 pub fn run() -> Table {
@@ -112,7 +114,7 @@ pub fn run() -> Table {
          surviving route died, delivered through the flat-wire rung",
     );
 
-    let mut cells: Vec<Cell<HaloChaosOutcome>> = Vec::new();
+    let mut cells: Vec<Cell<HaloOutcome>> = Vec::new();
     for (si, (sname, scheme)) in schemes().into_iter().enumerate() {
         let s = scheme.clone();
         cells.push(Cell::new(format!("{sname}/baseline"), move || {
@@ -198,12 +200,13 @@ mod tests {
         let out = measure(4, SchemeKind::fusion_default(), Some(plan));
         assert!(out.fabric.downs > 0, "{}", out.fabric);
         assert!(out.fabric.reroutes > 0, "{}", out.fabric);
+        assert!(base.checksum.is_some(), "Full mode hashes real bytes");
         assert_eq!(out.checksum, base.checksum, "reroute corrupted data");
         assert!(out.latency >= base.latency, "faults cannot speed a run up");
     }
 
     /// The same cell is byte-identical single-queue vs 4-way sharded —
-    /// the in-process version of the CI `chaos-topo` `--shards` diff.
+    /// the in-process version of the CI golden diff at `--shards 4`.
     #[test]
     fn faulted_cell_is_identical_across_shards() {
         let _settings = exec::settings_lock();

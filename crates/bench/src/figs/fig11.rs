@@ -7,9 +7,7 @@ use fusedpack_gpu::DataMode;
 use fusedpack_mpi::{Breakdown, SchemeKind};
 use fusedpack_net::Platform;
 use fusedpack_telemetry::Telemetry;
-use fusedpack_workloads::{
-    milc::milc_su3_zdown, run_exchange, run_exchange_traced, ExchangeConfig,
-};
+use fusedpack_workloads::{milc::milc_su3_zdown, run_exchange, ExchangeConfig};
 
 /// Medium MILC lattice: enough work that every bucket is visible.
 pub const LATTICE: u64 = 8;
@@ -30,6 +28,8 @@ pub fn config(scheme: SchemeKind) -> ExchangeConfig {
         warmup_laps: 1,
         measured_laps: 1,
         mode: DataMode::ModelOnly,
+        fault_plan: None,
+        telemetry: None,
     }
 }
 
@@ -45,8 +45,9 @@ pub fn breakdown_for(scheme: SchemeKind) -> Breakdown {
 /// timeline can be reconciled against with [`fusedpack_telemetry::reconcile`].
 pub fn traced_run() -> (Telemetry, Vec<Breakdown>) {
     let telemetry = Telemetry::enabled();
-    let (_, breakdowns) = run_exchange_traced(&config(SchemeKind::fusion_default()), &telemetry);
-    (telemetry, breakdowns)
+    let mut cfg = config(SchemeKind::fusion_default());
+    cfg.telemetry = Some(telemetry.clone());
+    (telemetry, run_exchange(&cfg).breakdowns)
 }
 
 pub fn run() -> Table {

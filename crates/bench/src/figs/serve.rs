@@ -183,9 +183,9 @@ mod tests {
     }
 
     /// The main service table is byte-identical across shard counts —
-    /// the in-process version of the CI `--shards 1` vs `--shards 4`
-    /// CSV diff (the queue-health companion is deliberately excluded:
-    /// its peaks describe the host process, not the simulation).
+    /// the in-process version of the CI golden diff at `--shards 4` (the
+    /// queue-health companion is deliberately excluded: its peaks
+    /// describe the host process, not the simulation).
     #[test]
     fn report_is_identical_across_shards() {
         let _settings = exec::settings_lock();

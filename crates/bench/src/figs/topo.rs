@@ -185,8 +185,8 @@ mod tests {
     }
 
     /// Sharding the event loop must not perturb a single digit of the
-    /// report — the in-process version of the CI `--shards 1` vs
-    /// `--shards 4` CSV diff.
+    /// report — the in-process version of the CI golden diff at
+    /// `--shards 4`.
     #[test]
     fn report_is_identical_across_shards() {
         let _settings = exec::settings_lock();

@@ -637,6 +637,28 @@ impl Cluster {
         self.gpus[rank.0 as usize].mem.read(ptr).to_vec()
     }
 
+    /// FNV-1a over the named buffers' bytes, in the order given — the
+    /// end-to-end data-integrity fingerprint a faulty run is compared
+    /// against its fault-free baseline with. `None` in
+    /// [`DataMode::ModelOnly`], where buffers hold no bytes.
+    pub fn checksum(
+        &self,
+        bufs: impl IntoIterator<Item = (RankId, crate::program::BufId)>,
+    ) -> Option<u64> {
+        if self.data_mode != DataMode::Full {
+            return None;
+        }
+        let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
+        for (rank, buf) in bufs {
+            let r = rank.0 as usize;
+            for &byte in self.gpus[r].mem.read(self.ranks[r].bufs[buf.0]) {
+                hash ^= byte as u64;
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        Some(hash)
+    }
+
     fn dispatch(&mut self, t: Time, ev: Event) {
         match ev {
             Event::Wake(r) => self.step_rank(r.0 as usize, t),

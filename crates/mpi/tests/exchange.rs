@@ -2,8 +2,9 @@
 //! the relative performance of the schemes must match the paper's ordering.
 
 use fusedpack_datatype::{Layout, TypeBuilder, TypeDesc};
+use fusedpack_gpu::DataMode;
 use fusedpack_mpi::program::BufInit;
-use fusedpack_mpi::{AppOp, BufId, ClusterBuilder, Program, RankId, SchemeKind, TypeSlot};
+use fusedpack_mpi::{AppOp, BufId, Cluster, ClusterBuilder, Program, RankId, SchemeKind, TypeSlot};
 use fusedpack_net::Platform;
 use fusedpack_sim::Pcg32;
 use std::sync::Arc;
@@ -505,4 +506,55 @@ fn contiguous_is_faster_than_equivalent_noncontiguous() {
     let fast = run_and_verify(Platform::lassen(), SchemeKind::GpuSync, contig, 1, 8);
     let slow = run_and_verify(Platform::lassen(), SchemeKind::GpuSync, strided, 1, 8);
     assert!(fast.final_lap() < slow.final_lap());
+}
+
+/// Byte-at-a-time FNV-1a over copied buffers — the reference
+/// `Cluster::checksum` must reproduce value for value.
+fn fnv1a_oracle(cluster: &Cluster, bufs: &[(RankId, BufId)]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &(rank, buf) in bufs {
+        for byte in cluster.rank_buffer(rank, buf) {
+            hash ^= byte as u64;
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn cluster_checksum_matches_bytewise_fnv_oracle() {
+    let build = |mode: DataMode| {
+        let (p0, p1, s0, r1) = exchange_programs(&sparse_type(), 3, 4, 1);
+        let mut cluster = ClusterBuilder::new(Platform::lassen(), SchemeKind::fusion_default())
+            .data_mode(mode)
+            .add_rank(0, p0)
+            .add_rank(1, p1)
+            .build();
+        cluster.run();
+        // Several receive buffers, then buffers of the other rank: the
+        // hash follows the order given, across ranks.
+        let bufs: Vec<(RankId, BufId)> = r1
+            .iter()
+            .map(|&b| (RankId(1), b))
+            .chain(s0.iter().map(|&b| (RankId(0), b)))
+            .collect();
+        (cluster, bufs)
+    };
+
+    let (full, bufs) = build(DataMode::Full);
+    let want = fnv1a_oracle(&full, &bufs);
+    assert_ne!(want, 0xcbf2_9ce4_8422_2325, "the buffers carry bytes");
+    assert_eq!(full.checksum(bufs.iter().copied()), Some(want));
+    let reversed: Vec<_> = bufs.iter().rev().copied().collect();
+    assert_eq!(
+        full.checksum(reversed.iter().copied()),
+        Some(fnv1a_oracle(&full, &reversed))
+    );
+
+    let (model, bufs) = build(DataMode::ModelOnly);
+    assert_eq!(
+        model.checksum(bufs),
+        None,
+        "ModelOnly buffers hold no bytes"
+    );
 }

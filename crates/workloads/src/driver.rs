@@ -1,10 +1,13 @@
-//! The benchmark driver: one call per (platform, scheme, workload) cell.
+//! The exchange runners: [`run_exchange`] for the two-rank bulk exchange
+//! and [`run_phase_shift`] for its phase-changing variant, plus the
+//! cluster prologue and measured-lap bookkeeping every runner of this
+//! crate shares.
 
 use crate::bulk::{bulk_exchange_programs, phase_shift_programs};
 use crate::Workload;
 use fusedpack_core::SchedStats;
 use fusedpack_gpu::DataMode;
-use fusedpack_mpi::{Breakdown, ClusterBuilder, RankId, SchemeKind};
+use fusedpack_mpi::{Breakdown, ClusterBuilder, RankId, RunReport, SchemeKind};
 use fusedpack_net::Platform;
 use fusedpack_sim::{ClampStats, Duration, FaultPlan, FaultSummary};
 use fusedpack_telemetry::Telemetry;
@@ -21,15 +24,21 @@ pub struct ExchangeConfig {
     pub warmup_laps: usize,
     /// Iterations measured.
     pub measured_laps: usize,
-    /// `ModelOnly` for timing sweeps, `Full` when bytes must be real.
+    /// `ModelOnly` for timing sweeps, `Full` when bytes must be real (the
+    /// outcome's checksum is `Some` only then).
     pub mode: DataMode,
+    /// Fault plan armed on the cluster (the chaos harness). `None` runs
+    /// fault-free.
+    pub fault_plan: Option<FaultPlan>,
+    /// Live recorder the cluster's events land in (tagged per rank).
+    pub telemetry: Option<Telemetry>,
 }
 
 impl ExchangeConfig {
     /// The defaults used by the figure harnesses: one warm-up iteration,
     /// one measured iteration (the simulation is deterministic, so the
     /// paper's 500-iteration averaging collapses to a single warm lap),
-    /// timing-only memory.
+    /// timing-only memory, no faults, no trace.
     pub fn new(platform: Platform, scheme: SchemeKind, workload: Workload, n_msgs: usize) -> Self {
         ExchangeConfig {
             platform,
@@ -39,11 +48,13 @@ impl ExchangeConfig {
             warmup_laps: 1,
             measured_laps: 1,
             mode: DataMode::ModelOnly,
+            fault_plan: None,
+            telemetry: None,
         }
     }
 }
 
-/// Results of one measurement.
+/// Results of one exchange measurement.
 #[derive(Debug, Clone)]
 pub struct ExchangeOutcome {
     /// Mean makespan of the measured iterations — the paper's reported
@@ -54,54 +65,75 @@ pub struct ExchangeOutcome {
     /// Per-iteration cost buckets, summed over both ranks and averaged
     /// over measured iterations (Fig. 11).
     pub breakdown: Breakdown,
+    /// Each rank's whole-run [`Breakdown`] — the external ledger a traced
+    /// run's timeline can be [`fusedpack_telemetry::reconcile`]d against.
+    pub breakdowns: Vec<Breakdown>,
     /// Fusion scheduler statistics (rank 0), if the scheme fuses.
     pub sched: Option<SchedStats>,
     /// Total kernel launches across both GPUs over the whole run.
     pub kernels: u64,
+    /// What the fault plan did to this run.
+    pub faults: FaultSummary,
+    /// Past-event clamps the event queue had to repair. Must be zero on a
+    /// fault-free run — the chaos report fails its baseline otherwise.
+    pub clamps: ClampStats,
+    /// FNV-1a over both ranks' receive buffers (rank 0's first), the
+    /// end-to-end data-integrity fingerprint; `Some` only in
+    /// [`DataMode::Full`]. A faulty run recovered correctly iff its
+    /// checksum equals the fault-free run's.
+    pub checksum: Option<u64>,
 }
 
-/// Run one bulk-exchange measurement.
-pub fn run_exchange(cfg: &ExchangeConfig) -> ExchangeOutcome {
-    run_exchange_with(cfg, None).0
-}
-
-/// Run one bulk-exchange measurement with a live telemetry recorder.
-///
-/// The recorder is shared: the cluster's events land in the caller's
-/// `Telemetry` handle (tagged per rank internally). Also returns the
-/// per-rank whole-run [`Breakdown`]s — the external ledger a caller can
-/// [`fusedpack_telemetry::reconcile`] the recorded timeline against.
-pub fn run_exchange_traced(
-    cfg: &ExchangeConfig,
-    telemetry: &Telemetry,
-) -> (ExchangeOutcome, Vec<Breakdown>) {
-    run_exchange_with(cfg, Some(telemetry))
-}
-
-fn run_exchange_with(
-    cfg: &ExchangeConfig,
+/// The cluster prologue every runner shares: platform, scheme, data mode
+/// and the optional fault plan and telemetry recorder.
+pub(crate) fn cluster_builder(
+    platform: &Platform,
+    scheme: &SchemeKind,
+    mode: DataMode,
+    fault_plan: Option<&FaultPlan>,
     telemetry: Option<&Telemetry>,
-) -> (ExchangeOutcome, Vec<Breakdown>) {
-    let laps = cfg.warmup_laps + cfg.measured_laps;
-    let ((p0, _), (p1, _)) = bulk_exchange_programs(&cfg.workload, cfg.n_msgs, laps, 7);
-    let mut builder = ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone())
-        .data_mode(cfg.mode)
-        .add_rank(0, p0)
-        .add_rank(1, p1);
+) -> ClusterBuilder {
+    let mut builder = ClusterBuilder::new(platform.clone(), scheme.clone()).data_mode(mode);
+    if let Some(plan) = fault_plan {
+        builder = builder.fault_plan(plan.clone());
+    }
     if let Some(t) = telemetry {
         builder = builder.telemetry(t.clone());
     }
-    let mut cluster = builder.build();
-    let report = cluster.run();
+    builder
+}
 
-    let measured: Vec<Duration> = (cfg.warmup_laps..laps)
-        .map(|i| report.lap_makespan(i))
-        .collect();
-    let mean = if measured.is_empty() {
-        Duration::ZERO
-    } else {
-        measured.iter().copied().sum::<Duration>() / measured.len() as u64
+/// Makespans of laps `warmup..laps`, and their mean (zero when empty).
+pub(crate) fn measured_laps(
+    report: &RunReport,
+    warmup: usize,
+    laps: usize,
+) -> (Vec<Duration>, Duration) {
+    let measured: Vec<Duration> = (warmup..laps).map(|i| report.lap_makespan(i)).collect();
+    let mean = match measured.len() {
+        0 => Duration::ZERO,
+        n => measured.iter().copied().sum::<Duration>() / n as u64,
     };
+    (measured, mean)
+}
+
+/// Run one bulk-exchange measurement: timing, fault accounting and, in
+/// [`DataMode::Full`], the receive-buffer checksum.
+pub fn run_exchange(cfg: &ExchangeConfig) -> ExchangeOutcome {
+    let laps = cfg.warmup_laps + cfg.measured_laps;
+    let ((p0, b0), (p1, b1)) = bulk_exchange_programs(&cfg.workload, cfg.n_msgs, laps, 7);
+    let mut cluster = cluster_builder(
+        &cfg.platform,
+        &cfg.scheme,
+        cfg.mode,
+        cfg.fault_plan.as_ref(),
+        cfg.telemetry.as_ref(),
+    )
+    .add_rank(0, p0)
+    .add_rank(1, p1)
+    .build();
+    let report = cluster.run();
+    let (lap_latencies, latency) = measured_laps(&report, cfg.warmup_laps, laps);
 
     // Sum both ranks' per-lap breakdowns over the measured laps, averaged.
     let mut breakdown = Breakdown::default();
@@ -116,88 +148,30 @@ fn run_exchange_with(
         breakdown
     };
 
-    let outcome = ExchangeOutcome {
-        latency: mean,
-        lap_latencies: measured,
-        breakdown,
-        sched: report.sched_stats[0],
-        kernels: report.kernels_launched.iter().sum(),
-    };
-    (outcome, report.breakdowns)
-}
-
-/// Results of one fault-injected (or fault-free reference) measurement.
-#[derive(Debug, Clone)]
-pub struct ChaosOutcome {
-    /// Mean makespan of the measured iterations.
-    pub latency: Duration,
-    /// Individual measured-iteration makespans.
-    pub lap_latencies: Vec<Duration>,
-    /// Fusion scheduler statistics (rank 0), if the scheme fuses.
-    pub sched: Option<SchedStats>,
-    /// What the fault plan did to this run.
-    pub faults: FaultSummary,
-    /// Past-event clamps the event queue had to repair. Must be zero on a
-    /// fault-free run — the chaos report fails its baseline otherwise.
-    pub clamps: ClampStats,
-    /// FNV-1a over both ranks' receive buffers (rank 0's first), the
-    /// end-to-end data-integrity fingerprint. Only meaningful with
-    /// `DataMode::Full`; a faulty run recovered correctly iff its checksum
-    /// equals the fault-free run's.
-    pub checksum: u64,
-}
-
-/// Run one bulk-exchange measurement under an optional fault plan,
-/// returning latency plus integrity evidence (checksum, fault summary,
-/// clamp stats). Pass `cfg.mode = DataMode::Full` so the checksum covers
-/// real bytes.
-pub fn run_exchange_chaos(cfg: &ExchangeConfig, plan: Option<FaultPlan>) -> ChaosOutcome {
-    let laps = cfg.warmup_laps + cfg.measured_laps;
-    let ((p0, b0), (p1, b1)) = bulk_exchange_programs(&cfg.workload, cfg.n_msgs, laps, 7);
-    let mut builder = ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone())
-        .data_mode(cfg.mode)
-        .add_rank(0, p0)
-        .add_rank(1, p1);
-    if let Some(plan) = plan {
-        builder = builder.fault_plan(plan);
-    }
-    let mut cluster = builder.build();
-    let report = cluster.run();
-
-    let measured: Vec<Duration> = (cfg.warmup_laps..laps)
-        .map(|i| report.lap_makespan(i))
-        .collect();
-    let mean = if measured.is_empty() {
-        Duration::ZERO
-    } else {
-        measured.iter().copied().sum::<Duration>() / measured.len() as u64
-    };
-
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-    for (rank, bufs) in [(RankId(0), &b0), (RankId(1), &b1)] {
-        for &buf in &bufs.recv {
-            for byte in cluster.rank_buffer(rank, buf) {
-                checksum ^= byte as u64;
-                checksum = checksum.wrapping_mul(0x0100_0000_01b3);
-            }
-        }
-    }
+    let checksum = cluster.checksum(
+        [(RankId(0), &b0), (RankId(1), &b1)]
+            .into_iter()
+            .flat_map(|(rank, bufs)| bufs.recv.iter().map(move |&buf| (rank, buf))),
+    );
 
     if report.event_clamps.count > 0 {
         // A clamp means the simulator rewrote a computed timestamp —
         // harmless for liveness but a red flag for timing fidelity. Shout
         // on stderr so table/CSV bytes stay stable.
         eprintln!(
-            "WARNING: {} event clamp(s) (total skew {}) during a chaos cell — \
+            "WARNING: {} event clamp(s) (total skew {}) during an exchange run — \
              timing fidelity is degraded",
             report.event_clamps.count, report.event_clamps.total_skew
         );
     }
 
-    ChaosOutcome {
-        latency: mean,
-        lap_latencies: measured,
+    ExchangeOutcome {
+        latency,
+        lap_latencies,
+        breakdown,
+        breakdowns: report.breakdowns,
         sched: report.sched_stats[0],
+        kernels: report.kernels_launched.iter().sum(),
         faults: report.fault_summary,
         clamps: report.event_clamps,
         checksum,
@@ -219,21 +193,9 @@ pub struct PhaseShiftOutcome {
 
 /// Run a bulk exchange whose datatype shifts from workload `a` to workload
 /// `b` after `laps_per_phase` iterations (see
-/// [`crate::bulk::phase_shift_programs`]).
+/// [`crate::bulk::phase_shift_programs`]), with an optional live telemetry
+/// recorder.
 pub fn run_phase_shift(
-    platform: Platform,
-    scheme: SchemeKind,
-    a: &Workload,
-    b: &Workload,
-    n_msgs: usize,
-    laps_per_phase: usize,
-) -> PhaseShiftOutcome {
-    run_phase_shift_traced(platform, scheme, a, b, n_msgs, laps_per_phase, None)
-}
-
-/// [`run_phase_shift`] with an optional live telemetry recorder.
-#[allow(clippy::too_many_arguments)]
-pub fn run_phase_shift_traced(
     platform: Platform,
     scheme: SchemeKind,
     a: &Workload,
@@ -243,18 +205,12 @@ pub fn run_phase_shift_traced(
     telemetry: Option<&Telemetry>,
 ) -> PhaseShiftOutcome {
     let (p0, p1) = phase_shift_programs(a, b, n_msgs, laps_per_phase, 7);
-    let mut builder = ClusterBuilder::new(platform, scheme)
-        .data_mode(DataMode::ModelOnly)
+    let mut cluster = cluster_builder(&platform, &scheme, DataMode::ModelOnly, None, telemetry)
         .add_rank(0, p0)
-        .add_rank(1, p1);
-    if let Some(t) = telemetry {
-        builder = builder.telemetry(t.clone());
-    }
-    let mut cluster = builder.build();
+        .add_rank(1, p1)
+        .build();
     let report = cluster.run();
-
-    let laps = 2 * laps_per_phase;
-    let lap_latencies: Vec<Duration> = (0..laps).map(|i| report.lap_makespan(i)).collect();
+    let (lap_latencies, _) = measured_laps(&report, 0, 2 * laps_per_phase);
     PhaseShiftOutcome {
         total: lap_latencies.iter().copied().sum(),
         lap_latencies,
@@ -344,6 +300,7 @@ mod tests {
             &nas_mg_y(384),
             16,
             6,
+            None,
         );
         let stats = out.sched.expect("adaptive fusion keeps sched stats");
         assert!(stats.kernels_launched > 0);
@@ -367,6 +324,7 @@ mod tests {
             &nas_mg_y(384),
             8,
             2,
+            None,
         );
         assert_eq!(out.sched.expect("fusion stats").threshold_adjusts, 0);
     }
@@ -378,5 +336,23 @@ mod tests {
         assert!(stats.enqueued >= 16, "8 packs + 8 unpacks per rank");
         assert!(out.kernels > 0);
         assert!(out.breakdown.total().as_nanos() > 0);
+    }
+
+    #[test]
+    fn checksum_is_some_only_with_real_bytes() {
+        let mut cfg = ExchangeConfig::new(
+            Platform::lassen(),
+            SchemeKind::fusion_default(),
+            specfem3d_oc(200),
+            4,
+        );
+        let model = run_exchange(&cfg);
+        assert_eq!(model.checksum, None, "ModelOnly holds no bytes");
+        cfg.mode = DataMode::Full;
+        let full = run_exchange(&cfg);
+        assert!(full.checksum.is_some());
+        assert_eq!(full.latency, model.latency, "bytes never move virtual time");
+        assert_eq!(full.breakdowns.len(), 2, "one whole-run ledger per rank");
+        assert!(full.faults.is_clean() && full.clamps.count == 0);
     }
 }

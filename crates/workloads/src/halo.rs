@@ -14,10 +14,11 @@
 //! size 2 the +/- neighbors are the same rank, and the opposite-direction
 //! tags are exactly what keeps those two streams apart.
 
+use crate::driver::{cluster_builder, measured_laps};
 use crate::Workload;
 use fusedpack_gpu::DataMode;
 use fusedpack_mpi::program::BufInit;
-use fusedpack_mpi::{AppOp, BufId, ClusterBuilder, Program, RankId, SchemeKind, TypeSlot};
+use fusedpack_mpi::{AppOp, BufId, Program, RankId, SchemeKind, TypeSlot};
 use fusedpack_net::{FabricHealth, Platform, TopologyHandle};
 use fusedpack_sim::{ClampStats, Duration, FaultPlan, FaultSummary};
 use fusedpack_telemetry::Telemetry;
@@ -202,8 +203,11 @@ pub struct HaloConfig {
     pub n_msgs: usize,
     pub warmup_laps: usize,
     pub measured_laps: usize,
-    /// Route transfers through a topology; `None` runs the legacy flat
-    /// model.
+    /// `ModelOnly` for timing sweeps, `Full` when bytes must be real (the
+    /// outcome's checksum is `Some` only then).
+    pub mode: DataMode,
+    /// Route transfers through a topology; `None` runs the flat
+    /// `FlatLink` model.
     pub topology: Option<TopologyHandle>,
     /// Worker shards for the event loop (clamped by the cluster; 1 =
     /// single-queue). Reports are byte-identical at any shard count —
@@ -212,6 +216,8 @@ pub struct HaloConfig {
     /// Fault plan armed on the cluster (the chaos harness). `None` runs
     /// fault-free.
     pub fault_plan: Option<FaultPlan>,
+    /// Live recorder the cluster's events land in (tagged per rank).
+    pub telemetry: Option<Telemetry>,
 }
 
 impl HaloConfig {
@@ -230,9 +236,11 @@ impl HaloConfig {
             n_msgs,
             warmup_laps: 1,
             measured_laps: 1,
+            mode: DataMode::ModelOnly,
             topology: None,
             shards: 1,
             fault_plan: None,
+            telemetry: None,
         }
     }
 
@@ -243,11 +251,6 @@ impl HaloConfig {
 
     pub fn with_shards(mut self, shards: u32) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
         self
     }
 }
@@ -271,75 +274,6 @@ pub struct HaloOutcome {
     pub order_violations: u64,
     /// Window barriers the sharded coordinator ran (zero single-queue).
     pub shard_barriers: u64,
-}
-
-/// Run one halo-exchange measurement.
-pub fn run_halo(cfg: &HaloConfig) -> HaloOutcome {
-    run_halo_with(cfg, None)
-}
-
-/// [`run_halo`] with a live telemetry recorder (reconciliation tests).
-pub fn run_halo_traced(cfg: &HaloConfig, telemetry: &Telemetry) -> HaloOutcome {
-    run_halo_with(cfg, Some(telemetry))
-}
-
-fn run_halo_with(cfg: &HaloConfig, telemetry: Option<&Telemetry>) -> HaloOutcome {
-    let laps = cfg.warmup_laps + cfg.measured_laps;
-    let programs = halo_programs(&cfg.grid, &cfg.workload, cfg.n_msgs, laps, 7);
-    let gpus_per_node = cfg.platform.gpus_per_node.max(1);
-    let mut builder = ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone())
-        .data_mode(DataMode::ModelOnly)
-        .shards(cfg.shards);
-    if let Some(topo) = &cfg.topology {
-        builder = builder.topology(topo.clone());
-    }
-    if let Some(plan) = &cfg.fault_plan {
-        builder = builder.fault_plan(plan.clone());
-    }
-    if let Some(t) = telemetry {
-        builder = builder.telemetry(t.clone());
-    }
-    for (rank, (program, _)) in programs.into_iter().enumerate() {
-        builder = builder.add_rank(rank as u32 / gpus_per_node, program);
-    }
-    let mut cluster = builder.build();
-    let report = cluster.run();
-
-    let measured: Vec<Duration> = (cfg.warmup_laps..laps)
-        .map(|i| report.lap_makespan(i))
-        .collect();
-    let mean = if measured.is_empty() {
-        Duration::ZERO
-    } else {
-        measured.iter().copied().sum::<Duration>() / measured.len() as u64
-    };
-    let (busiest, bytes) = cluster
-        .topo_hop_stats()
-        .map(|stats| {
-            (
-                stats.iter().map(|h| h.busy).max().unwrap_or(Duration::ZERO),
-                stats.iter().map(|h| h.bytes).sum(),
-            )
-        })
-        .unwrap_or((Duration::ZERO, 0));
-
-    HaloOutcome {
-        latency: mean,
-        lap_latencies: measured,
-        ranks: cfg.grid.ranks(),
-        events: report.events_processed,
-        busiest_hop_busy: busiest,
-        hop_bytes: bytes,
-        order_violations: cluster.topo_order_violations().unwrap_or(0),
-        shard_barriers: report.shard.barriers,
-    }
-}
-
-/// Results of one fault-injected (or fault-free reference) halo run.
-#[derive(Debug, Clone)]
-pub struct HaloChaosOutcome {
-    /// Mean makespan of the measured iterations.
-    pub latency: Duration,
     /// What the fault plan did to this run (flat sites + forced
     /// deliveries).
     pub faults: FaultSummary,
@@ -351,67 +285,66 @@ pub struct HaloChaosOutcome {
     /// fault-free baseline.
     pub clamps: ClampStats,
     /// FNV-1a over every rank's receive buffers in (rank, neighbor,
-    /// message) order — the end-to-end data-integrity fingerprint. A
-    /// faulty run recovered correctly iff its checksum equals the
-    /// fault-free baseline's.
-    pub checksum: u64,
-    /// Window barriers the sharded coordinator ran (zero single-queue).
-    pub shard_barriers: u64,
+    /// message) order — the end-to-end data-integrity fingerprint;
+    /// `Some` only in [`DataMode::Full`]. A faulty run recovered
+    /// correctly iff its checksum equals the fault-free baseline's.
+    pub checksum: Option<u64>,
 }
 
-/// Run one halo exchange with real bytes ([`DataMode::Full`]) under the
-/// config's optional fault plan, returning latency plus integrity
-/// evidence. The topo-chaos grid compares each cell's checksum against a
-/// fault-free baseline run of the same config.
-pub fn run_halo_chaos(cfg: &HaloConfig) -> HaloChaosOutcome {
+/// Run one halo-exchange measurement: timing, hop and fault accounting
+/// and, in [`DataMode::Full`], the receive-buffer checksum.
+pub fn run_halo(cfg: &HaloConfig) -> HaloOutcome {
     let laps = cfg.warmup_laps + cfg.measured_laps;
     let programs = halo_programs(&cfg.grid, &cfg.workload, cfg.n_msgs, laps, 7);
     let gpus_per_node = cfg.platform.gpus_per_node.max(1);
-    let mut builder = ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone())
-        .data_mode(DataMode::Full)
-        .shards(cfg.shards);
+    let mut builder = cluster_builder(
+        &cfg.platform,
+        &cfg.scheme,
+        cfg.mode,
+        cfg.fault_plan.as_ref(),
+        cfg.telemetry.as_ref(),
+    )
+    .shards(cfg.shards);
     if let Some(topo) = &cfg.topology {
         builder = builder.topology(topo.clone());
     }
-    if let Some(plan) = &cfg.fault_plan {
-        builder = builder.fault_plan(plan.clone());
-    }
-    let mut rbufs = Vec::new();
+    let mut recv = Vec::with_capacity(programs.len());
     for (rank, (program, bufs)) in programs.into_iter().enumerate() {
         builder = builder.add_rank(rank as u32 / gpus_per_node, program);
-        rbufs.push(bufs.recv);
+        recv.push(bufs.recv);
     }
     let mut cluster = builder.build();
     let report = cluster.run();
+    let (lap_latencies, latency) = measured_laps(&report, cfg.warmup_laps, laps);
+    let (busiest, bytes) = cluster
+        .topo_hop_stats()
+        .map(|stats| {
+            (
+                stats.iter().map(|h| h.busy).max().unwrap_or(Duration::ZERO),
+                stats.iter().map(|h| h.bytes).sum(),
+            )
+        })
+        .unwrap_or((Duration::ZERO, 0));
+    let checksum = cluster.checksum(recv.iter().enumerate().flat_map(|(rank, neighbors)| {
+        neighbors
+            .iter()
+            .flatten()
+            .map(move |&buf| (RankId(rank as u32), buf))
+    }));
 
-    let measured: Vec<Duration> = (cfg.warmup_laps..laps)
-        .map(|i| report.lap_makespan(i))
-        .collect();
-    let mean = if measured.is_empty() {
-        Duration::ZERO
-    } else {
-        measured.iter().copied().sum::<Duration>() / measured.len() as u64
-    };
-
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-    for (rank, neighbors) in rbufs.iter().enumerate() {
-        for bufs in neighbors {
-            for &buf in bufs {
-                for byte in cluster.rank_buffer(RankId(rank as u32), buf) {
-                    checksum ^= byte as u64;
-                    checksum = checksum.wrapping_mul(0x0100_0000_01b3);
-                }
-            }
-        }
-    }
-
-    HaloChaosOutcome {
-        latency: mean,
+    HaloOutcome {
+        latency,
+        lap_latencies,
+        ranks: cfg.grid.ranks(),
+        events: report.events_processed,
+        busiest_hop_busy: busiest,
+        hop_bytes: bytes,
+        order_violations: cluster.topo_order_violations().unwrap_or(0),
+        shard_barriers: report.shard.barriers,
         faults: report.fault_summary,
         fabric: report.fabric,
         clamps: report.event_clamps,
         checksum,
-        shard_barriers: report.shard.barriers,
     }
 }
 
@@ -516,5 +449,26 @@ mod tests {
             );
             assert_eq!(sharded.order_violations, 0, "topo={topo}");
         }
+    }
+
+    #[test]
+    fn checksum_is_some_only_with_real_bytes_and_shard_invariant() {
+        let mut cfg = HaloConfig::new(
+            Platform::lassen(),
+            SchemeKind::fusion_default(),
+            specfem3d_cm(64),
+            HaloGrid::new_3d(2, 2, 2),
+            1,
+        )
+        .with_topology(Arc::new(Hierarchy::lassen_like(2)));
+        assert_eq!(run_halo(&cfg).checksum, None, "ModelOnly holds no bytes");
+        cfg.mode = DataMode::Full;
+        let single = run_halo(&cfg);
+        assert!(single.checksum.is_some());
+        let sharded = run_halo(&cfg.clone().with_shards(2));
+        assert!(sharded.shard_barriers > 0, "sharding engaged");
+        assert_eq!(single.checksum, sharded.checksum);
+        assert_eq!(single.faults, sharded.faults);
+        assert_eq!(single.fabric, sharded.fabric);
     }
 }

@@ -11,10 +11,14 @@
 //! * [`nas::nas_mg_y`] (and x/z faces) — vectors, *dense* (large blocks),
 //!   Fluid Dynamics.
 //!
-//! Plus the communication drivers: [`bulk::bulk_exchange_programs`] (N buffers per
-//! neighbor, Figs. 9/10), the 3-D halo exchange with 32 non-blocking
-//! operations (Figs. 12/13), and [`driver::run_exchange`], the single entry
-//! point the benchmark harness uses.
+//! Plus the communication programs — [`bulk::bulk_exchange_programs`] (N
+//! buffers per neighbor, Figs. 9/10) and the 3-D halo exchange with 32
+//! non-blocking operations (Figs. 12/13) — and the runners the benchmark
+//! harness calls, one per workload, each returning one outcome type:
+//! [`run_exchange`] (the two-rank bulk exchange, for timing sweeps, traced
+//! runs and the chaos grid alike), [`run_halo`] (the cluster-scale torus
+//! halo), [`run_phase_shift`] (the sparse→dense adaptive scenario) and
+//! [`run_serve`] (sustained load).
 
 pub mod approaches;
 pub mod bulk;
@@ -28,12 +32,9 @@ pub mod specfem;
 
 pub use bulk::{bulk_exchange_programs, phase_shift_programs};
 pub use driver::{
-    run_exchange, run_exchange_chaos, run_exchange_traced, run_phase_shift, run_phase_shift_traced,
-    ChaosOutcome, ExchangeConfig, ExchangeOutcome, PhaseShiftOutcome,
+    run_exchange, run_phase_shift, ExchangeConfig, ExchangeOutcome, PhaseShiftOutcome,
 };
-pub use halo::{
-    run_halo, run_halo_chaos, run_halo_traced, HaloChaosOutcome, HaloConfig, HaloGrid, HaloOutcome,
-};
+pub use halo::{run_halo, HaloConfig, HaloGrid, HaloOutcome};
 pub use serve::{run_serve, ServeConfig, ServeOutcome};
 
 use fusedpack_datatype::TypeDesc;

@@ -16,10 +16,11 @@
 //! laps. Everything is virtual-time deterministic: the same config yields
 //! byte-identical outcomes on any host and any `--jobs` count.
 
+use crate::driver::{cluster_builder, measured_laps};
 use crate::Workload;
 use fusedpack_gpu::{DataMode, PoolStats};
 use fusedpack_mpi::program::BufInit;
-use fusedpack_mpi::{AppOp, BufId, ClusterBuilder, Program, RankId, SchemeKind, TypeSlot};
+use fusedpack_mpi::{AppOp, BufId, Program, RankId, SchemeKind, TypeSlot};
 use fusedpack_net::{Platform, TopologyHandle};
 use fusedpack_sim::{Duration, WheelStats};
 
@@ -205,8 +206,7 @@ pub fn run_serve(cfg: &ServeConfig) -> ServeOutcome {
     assert!(cfg.batch >= 1 && cfg.requests >= 1);
     let p0 = serve_program(cfg, 7, RankId(1));
     let p1 = serve_program(cfg, 1007, RankId(0));
-    let mut builder = ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone())
-        .data_mode(DataMode::ModelOnly)
+    let mut builder = cluster_builder(&cfg.platform, &cfg.scheme, DataMode::ModelOnly, None, None)
         .shards(cfg.shards)
         .add_rank(0, p0)
         .add_rank(1, p1);
@@ -217,9 +217,7 @@ pub fn run_serve(cfg: &ServeConfig) -> ServeOutcome {
     let report = cluster.run();
 
     let laps = cfg.laps();
-    let mut measured: Vec<Duration> = (cfg.warmup_laps..laps)
-        .map(|i| report.lap_makespan(i))
-        .collect();
+    let (mut measured, _) = measured_laps(&report, cfg.warmup_laps, laps);
     measured.sort_unstable();
 
     let elapsed = Duration(report.end_time.0);

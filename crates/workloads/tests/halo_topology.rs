@@ -7,8 +7,8 @@ use fusedpack_mpi::{ClusterBuilder, SchemeKind};
 use fusedpack_net::{Hierarchy, Platform, TopologyHandle};
 use fusedpack_telemetry::{Payload, Telemetry};
 use fusedpack_workloads::halo::{halo_programs, HaloConfig, HaloGrid};
+use fusedpack_workloads::run_halo;
 use fusedpack_workloads::specfem::specfem3d_cm;
-use fusedpack_workloads::{run_halo, run_halo_traced};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -85,7 +85,9 @@ fn hop_spans_reconcile_with_congestion_counters() {
 #[test]
 fn driver_hop_totals_match_telemetry() {
     let tele = Telemetry::enabled();
-    let out = run_halo_traced(&small_cfg(Some(lassen_topo(2))), &tele);
+    let mut cfg = small_cfg(Some(lassen_topo(2)));
+    cfg.telemetry = Some(tele.clone());
+    let out = run_halo(&cfg);
     let tele_total: u64 = hop_bytes_from_telemetry(&tele).values().sum();
     assert!(out.hop_bytes > 0);
     assert_eq!(out.hop_bytes, tele_total);

@@ -19,13 +19,14 @@ fn main() {
     // Same cell as the paper's Fig. 11: MILC su3_zdown, 16 transfers each
     // way, ABCI, the proposed fusion scheme.
     let telemetry = Telemetry::enabled();
-    let cfg = ExchangeConfig::new(
+    let mut cfg = ExchangeConfig::new(
         Platform::abci(),
         SchemeKind::fusion_default(),
         milc_su3_zdown(8),
         16,
     );
-    let (outcome, breakdowns) = run_exchange_traced(&cfg, &telemetry);
+    cfg.telemetry = Some(telemetry.clone());
+    let outcome = run_exchange(&cfg);
     let snap = telemetry.snapshot();
 
     std::fs::write(&out_path, chrome::export(&snap)).expect("write trace");
@@ -41,7 +42,8 @@ fn main() {
     // The timeline carries a `BucketCharge` span for every breakdown
     // mutation, so its per-bucket totals reproduce the Fig. 11 ledger
     // exactly — cross-check at zero tolerance.
-    let external: Vec<(u32, [Duration; 5])> = breakdowns
+    let external: Vec<(u32, [Duration; 5])> = outcome
+        .breakdowns
         .iter()
         .enumerate()
         .map(|(r, b)| (r as u32, b.values()))

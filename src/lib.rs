@@ -64,7 +64,5 @@ pub mod prelude {
     pub use fusedpack_net::Platform;
     pub use fusedpack_sim::{Duration, Time};
     pub use fusedpack_telemetry::Telemetry;
-    pub use fusedpack_workloads::{
-        run_exchange, run_exchange_traced, ExchangeConfig, ExchangeOutcome, Workload,
-    };
+    pub use fusedpack_workloads::{run_exchange, ExchangeConfig, ExchangeOutcome, Workload};
 }
