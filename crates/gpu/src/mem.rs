@@ -84,8 +84,6 @@ pub struct MemPool {
     capacity: u64,
     cursor: u64,
     bytes: Vec<u8>,
-    /// High-water mark of allocations, for sizing diagnostics.
-    peak: u64,
 }
 
 impl MemPool {
@@ -100,7 +98,6 @@ impl MemPool {
             capacity,
             cursor: 0,
             bytes,
-            peak: 0,
         }
     }
 
@@ -120,12 +117,6 @@ impl MemPool {
         self.cursor
     }
 
-    /// High-water mark of allocations.
-    #[inline]
-    pub fn peak(&self) -> u64 {
-        self.peak
-    }
-
     /// Allocate `len` bytes with `align` alignment (power of two).
     ///
     /// Panics if the pool is exhausted: pool sizing is a configuration
@@ -139,13 +130,7 @@ impl MemPool {
             self.capacity
         );
         self.cursor = addr + len;
-        self.peak = self.peak.max(self.cursor);
         DevPtr { addr, len }
-    }
-
-    /// Release everything allocated so far (bulk free between iterations).
-    pub fn reset(&mut self) {
-        self.cursor = 0;
     }
 
     /// Where `ptr`'s bytes sit in the backing store, or `None` in
@@ -265,7 +250,6 @@ mod tests {
         let b = p.alloc(16, 64);
         assert_eq!(b.addr, 64);
         assert_eq!(p.allocated(), 80);
-        assert_eq!(p.peak(), 80);
     }
 
     #[test]
@@ -273,17 +257,6 @@ mod tests {
     fn exhaustion_panics() {
         let mut p = MemPool::new(16, DataMode::Full);
         p.alloc(32, 1);
-    }
-
-    #[test]
-    fn reset_frees_but_keeps_peak() {
-        let mut p = MemPool::new(128, DataMode::Full);
-        p.alloc(100, 1);
-        p.reset();
-        assert_eq!(p.allocated(), 0);
-        assert_eq!(p.peak(), 100);
-        let a = p.alloc(50, 1);
-        assert_eq!(a.addr, 0);
     }
 
     #[test]

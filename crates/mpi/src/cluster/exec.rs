@@ -146,6 +146,7 @@ impl Cluster {
                 packed_bytes,
                 blocks,
                 staging: StagingLoc::None,
+                packed: Vec::new(),
                 lifecycle: RequestLifecycle::recv(),
                 fusion_uid: None,
                 ipc_send_id: None,
@@ -192,6 +193,7 @@ impl Cluster {
                 blocks,
                 eager: packed_bytes <= self.platform.eager_limit,
                 staging: StagingLoc::None,
+                packed: Vec::new(),
                 lifecycle: RequestLifecycle::send(),
                 cts: None,
                 fusion_uid: None,
@@ -293,7 +295,7 @@ impl Cluster {
         true
     }
 
-    /// All requests drained: free them and reset staging pools.
+    /// All requests drained: free them.
     fn exit_waitall(&mut self, r: usize) {
         let rank = &mut self.ranks[r];
         rank.cpu += self.platform.mpi_call;
@@ -302,10 +304,15 @@ impl Cluster {
             rank.fusion_requeue.is_empty(),
             "backpressure requeue leaked past Waitall"
         );
+        // Every packed payload went onto the wire or through its unpack,
+        // and so back to the buffer pool.
+        debug_assert!(
+            rank.sends.iter().all(|s| s.packed.is_empty())
+                && rank.recvs.iter().all(|op| op.packed.is_empty()),
+            "packed payload leaked past Waitall"
+        );
         rank.sends.clear();
         rank.recvs.clear();
-        self.staging_mems[r].reset();
-        self.host_mems[r].reset();
     }
 
     /// Called whenever a request completes: if the rank is blocked in

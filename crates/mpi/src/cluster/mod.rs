@@ -9,6 +9,8 @@
 
 mod accounting;
 mod exec;
+#[cfg(test)]
+mod payload_tests;
 mod protocol;
 mod ranged;
 mod rank;
@@ -23,7 +25,7 @@ use crate::sendrecv::{RecvId, SendId};
 use fusedpack_core::{SchedStats, Uid};
 use fusedpack_datatype::pack::{pack_into, unpack};
 use fusedpack_datatype::{CompileMemo, CompiledLayout};
-use fusedpack_gpu::{BufferPool, DataMode, Gpu, MemPool};
+use fusedpack_gpu::{BufferPool, DataMode, Gpu};
 use fusedpack_net::platform::Platform;
 use fusedpack_net::topology::{validate_endpoint, Endpoint, FabricEvent};
 use fusedpack_net::{FabricHealth, Link, Nic, TopoNet, TopologyHandle};
@@ -211,8 +213,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Instantiate the cluster: allocate GPU/host pools sized from the
-    /// programs' declarations, initialize buffers, and seed the event loop.
+    /// Instantiate the cluster: allocate each GPU's memory sized from its
+    /// program's declarations, initialize buffers, and seed the event
+    /// loop. Packed payloads need no pool of their own: each in-flight
+    /// message owns a recycled buffer (`Cluster::buf_pool`).
     pub fn build(self) -> Cluster {
         assert!(!self.ranks.is_empty(), "need at least one rank");
         let num_nodes = self.ranks.iter().map(|&(n, _)| n).max().expect("ranks") + 1;
@@ -222,10 +226,6 @@ impl ClusterBuilder {
 
         let mut ranks = Vec::new();
         let mut gpus = Vec::new();
-        let mut staging_mems = Vec::new();
-        let mut host_mems = Vec::new();
-        // One scratch buffer reused across every random-init declaration.
-        let mut init_scratch = Vec::new();
         // Each rank occupies the next GPU slot on its node, in add order.
         let mut endpoints = Vec::new();
         let mut node_slots: HashMap<u32, u32> = HashMap::new();
@@ -238,10 +238,6 @@ impl ClusterBuilder {
             endpoints.push(Endpoint::new(node, *slot));
             *slot += 1;
             let user_bytes: u64 = program.buffers.iter().map(|b| b.len + 256).sum::<u64>() + 4096;
-            // Staging high-water estimate: every comm op may need a packed
-            // buffer simultaneously within one Waitall epoch; programs
-            // over-declare via their buffer sizes, so size generously.
-            let staging_bytes = 2 * user_bytes + (1 << 20);
 
             let mut gpu = self.platform.make_gpu(user_bytes, self.data_mode);
             if !self.gdrcopy {
@@ -251,17 +247,9 @@ impl ClusterBuilder {
             // Allocate and initialize declared buffers.
             for decl in rank.program.buffers.clone() {
                 let ptr = gpu.mem.alloc(decl.len, 64);
-                match decl.init {
-                    BufInit::Zero => {}
-                    BufInit::Random(seed) => {
-                        if self.data_mode == DataMode::Full {
-                            let mut rng = Pcg32::new(seed, idx as u64);
-                            init_scratch.clear();
-                            init_scratch.resize(decl.len as usize, 0);
-                            rng.fill_bytes(&mut init_scratch);
-                            gpu.mem.write(ptr, &init_scratch);
-                        }
-                    }
+                if let BufInit::Random(seed) = decl.init {
+                    // Filled in place; a `ModelOnly` buffer is empty.
+                    Pcg32::new(seed, idx as u64).fill_bytes(gpu.mem.read_mut(ptr));
                 }
                 rank.bufs.push(ptr);
             }
@@ -273,8 +261,6 @@ impl ClusterBuilder {
             rank.tele = tele_r;
             ranks.push(rank);
             gpus.push(gpu);
-            staging_mems.push(MemPool::new(staging_bytes, self.data_mode));
-            host_mems.push(MemPool::new(staging_bytes, self.data_mode));
         }
 
         // NIC events are tagged with the lowest rank on the NIC's node so
@@ -328,8 +314,6 @@ impl ClusterBuilder {
             events,
             ranks: Ranged::from_vec(ranks),
             gpus: Ranged::from_vec(gpus),
-            staging_mems: Ranged::from_vec(staging_mems),
-            host_mems: Ranged::from_vec(host_mems),
             nics: Ranged::from_vec(nics),
             rndv: self.rndv,
             topo,
@@ -367,11 +351,6 @@ pub struct Cluster {
     /// translates the global indices every protocol path uses.
     pub(crate) ranks: Ranged<RankState>,
     pub(crate) gpus: Ranged<Gpu>,
-    /// Device staging pools (packed buffers), reset at each Waitall exit.
-    pub(crate) staging_mems: Ranged<MemPool>,
-    /// Host staging pools (hybrid CPU path, naive libraries, bounce
-    /// buffers), reset with the device staging pools.
-    pub(crate) host_mems: Ranged<MemPool>,
     /// One NIC per node, indexed by global node id.
     pub(crate) nics: Ranged<Nic>,
     /// Rendezvous sub-protocol.
@@ -384,9 +363,10 @@ pub struct Cluster {
     pub(crate) endpoints: Vec<Endpoint>,
     /// Lazily created intra-node GPU↔GPU links, keyed by (node, node).
     pub(crate) intra_links: HashMap<(u32, u32), Link>,
-    /// Freelist of staged payload buffers: eager/rendezvous copies and IPC
-    /// gathers recycle their `Vec<u8>`s here instead of allocating per
-    /// message.
+    /// Freelist of packed payload buffers. A send's pack takes one, the
+    /// buffer rides the wire message to the receiver, and the unpack (or
+    /// an in-place landing) returns it; IPC bounce buffers recycle here
+    /// too. `ModelOnly` runs take none.
     pub(crate) buf_pool: BufferPool,
     /// In-flight wire messages, keyed by the `u32` inside
     /// [`Event::Deliver`]; recycled indices keep per-message storage off
@@ -637,23 +617,36 @@ impl Cluster {
         self.gpus[rank.0 as usize].mem.read(ptr).to_vec()
     }
 
-    /// FNV-1a over the named buffers' bytes, in the order given — the
-    /// end-to-end data-integrity fingerprint a faulty run is compared
-    /// against its fault-free baseline with. `None` in
-    /// [`DataMode::ModelOnly`], where buffers hold no bytes.
+    /// Fingerprint of the named buffers' bytes, in the order given — the
+    /// end-to-end data-integrity check a faulty run is compared against
+    /// its fault-free baseline with. `None` in [`DataMode::ModelOnly`],
+    /// where buffers hold no bytes.
+    ///
+    /// FNV-1a a word at a time: each buffer's little-endian `u64` words
+    /// step the hash (xor, multiply by the FNV prime, rotate so high bits
+    /// feed the next multiply), then its tail bytes take plain FNV-1a
+    /// steps. Every step is a bijection of the hash, so changing any one
+    /// word or byte always changes the result.
     pub fn checksum(
         &self,
         bufs: impl IntoIterator<Item = (RankId, crate::program::BufId)>,
     ) -> Option<u64> {
+        const PRIME: u64 = 0x0100_0000_01b3;
         if self.data_mode != DataMode::Full {
             return None;
         }
         let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
         for (rank, buf) in bufs {
             let r = rank.0 as usize;
-            for &byte in self.gpus[r].mem.read(self.ranks[r].bufs[buf.0]) {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            let bytes = self.gpus[r].mem.read(self.ranks[r].bufs[buf.0]);
+            let words = bytes.chunks_exact(8);
+            let tail = words.remainder();
+            for word in words {
+                let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+                hash = (hash ^ word).wrapping_mul(PRIME).rotate_left(23);
+            }
+            for &byte in tail {
+                hash = (hash ^ byte as u64).wrapping_mul(PRIME);
             }
         }
         Some(hash)

@@ -6,6 +6,7 @@ use super::{Cluster, Event, RankId, RndvProtocol};
 use crate::lifecycle::LifecycleEvent;
 use crate::message::{WireKind, WireMsg};
 use crate::sendrecv::{CtsInfo, PackState, RecvId, SendId, StagingLoc};
+use fusedpack_gpu::{DataMode, DevPtr};
 use fusedpack_net::CTRL_BYTES;
 use fusedpack_sim::{FaultSite, Time};
 use fusedpack_telemetry::{Lane, Payload, RndvPhaseTag};
@@ -274,18 +275,17 @@ impl Cluster {
         self.wire_transmit(src, at, CTRL_BYTES, false, msg, None);
     }
 
-    /// Read the packed payload bytes behind a staging location into a
-    /// pooled buffer (recycled back into `buf_pool` once the payload is
-    /// deposited at the receiver).
-    pub(crate) fn read_staging(&self, r: usize, loc: StagingLoc) -> Vec<u8> {
-        let src: &[u8] = match loc {
-            StagingLoc::Gpu(p) => self.staging_mems[r].read(p),
-            StagingLoc::Host(p) => self.host_mems[r].read(p),
-            StagingLoc::UserGpu(p) => self.gpus[r].mem.read(p),
-            StagingLoc::None => &[],
-        };
+    /// Move a send's packed bytes out for the wire: the buffer its pack
+    /// filled, or a pooled copy of the user buffer for an in-place send.
+    /// Empty in `ModelOnly` mode.
+    fn wire_payload(&mut self, r: usize, sid: SendId) -> Vec<u8> {
+        let s = &mut self.ranks[r].sends[sid.0];
+        if s.staging != StagingLoc::UserGpu {
+            return std::mem::take(&mut s.packed);
+        }
+        let src = self.gpus[r].mem.read(in_place(s.user_buf, s.packed_bytes));
         if src.is_empty() {
-            return Vec::new(); // model-only mode / ctrl messages
+            return Vec::new();
         }
         let mut buf = self.buf_pool.take(src.len());
         buf.extend_from_slice(src);
@@ -312,8 +312,7 @@ impl Cluster {
         self.ranks[r].sends[sid.0]
             .lifecycle
             .apply(LifecycleEvent::Issued);
-        let payload = self.read_staging(r, staging);
-        let gdr_src = matches!(staging, StagingLoc::Gpu(_) | StagingLoc::UserGpu(_));
+        let gdr_src = matches!(staging, StagingLoc::Gpu | StagingLoc::UserGpu);
         let at = self.ranks[r].cpu;
         let src_id = self.ranks[r].id;
 
@@ -335,10 +334,12 @@ impl Cluster {
                     },
                 );
             }
-            // Local completion arrives as a Fin once the read drains.
+            // The read moves the payload; local completion arrives as a
+            // Fin once it drains.
             return;
         }
         if eager {
+            let payload = self.wire_payload(r, sid);
             self.ranks[r]
                 .tele
                 .instant(Lane::Host, at, || Payload::EagerSend {
@@ -373,9 +374,9 @@ impl Cluster {
                 self.ranks[r].sends[sid.0]
                     .lifecycle
                     .apply(LifecycleEvent::IssueRetracted);
-                self.buf_pool.put(payload);
                 return;
             };
+            let payload = self.wire_payload(r, sid);
             let gdr = gdr_src || !cts.host_staging;
             self.ranks[r]
                 .tele
@@ -458,7 +459,6 @@ impl Cluster {
             WireKind::Cts {
                 send_id,
                 recv_id,
-                staging_addr,
                 host_staging,
             } => {
                 // Guard: a replayed CTS for a send that is already issuing
@@ -473,7 +473,6 @@ impl Cluster {
                 }
                 send.cts = Some(CtsInfo {
                     recv_id,
-                    staging_addr,
                     host_staging,
                 });
                 self.try_issue(r, send_id);
@@ -491,8 +490,7 @@ impl Cluster {
                     self.buf_pool.put(msg.payload);
                     return;
                 }
-                self.deposit_payload(r, recv_id, &msg.payload);
-                self.buf_pool.put(msg.payload);
+                self.deposit_payload(r, recv_id, msg.payload);
                 self.ranks[r].recvs[recv_id.0]
                     .lifecycle
                     .apply(LifecycleEvent::DataArrived);
@@ -510,9 +508,19 @@ impl Cluster {
                     self.fault_stats.spurious += 1;
                     return;
                 };
+                // Guard: the first read moves a staged send's packed bytes
+                // onto the wire; a repeated read finds them gone and must
+                // not ship an empty payload in their place.
+                if self.data_mode == DataMode::Full
+                    && send.staging.is_packed()
+                    && send.packed.len() as u64 != send.packed_bytes
+                {
+                    self.fault_stats.spurious += 1;
+                    return;
+                }
                 let (staging, bytes, dst) = (send.staging, send.packed_bytes, msg.src);
-                let payload = self.read_staging(r, staging);
-                let gdr = matches!(staging, StagingLoc::Gpu(_) | StagingLoc::UserGpu(_));
+                let payload = self.wire_payload(r, send_id);
+                let gdr = matches!(staging, StagingLoc::Gpu | StagingLoc::UserGpu);
                 let at = self.events.now();
                 let src_id = self.ranks[r].id;
                 let msg = WireMsg {
@@ -560,11 +568,7 @@ impl Cluster {
                 engine.on_ipc_rts(&mut PathCtx { cl: self, r }, rid, src, origin);
             }
             WireKind::Rts { send_id, rget, .. } => {
-                let (bytes, blocks) = {
-                    let op = &self.ranks[r].recvs[rid.0];
-                    (op.packed_bytes, op.blocks)
-                };
-                let staging = self.recv_staging_for(r, rid, bytes, blocks);
+                let staging = self.recv_staging_for(r, rid);
                 let op = &mut self.ranks[r].recvs[rid.0];
                 op.staging = staging;
                 op.lifecycle.apply(LifecycleEvent::Matched);
@@ -588,21 +592,15 @@ impl Cluster {
                         WireKind::Cts {
                             send_id,
                             recv_id: rid,
-                            staging_addr: staging.addr(),
                             host_staging: staging.is_host(),
                         },
                     );
                 }
             }
             WireKind::Eager { .. } => {
-                let (bytes, blocks) = {
-                    let op = &self.ranks[r].recvs[rid.0];
-                    (op.packed_bytes, op.blocks)
-                };
-                let staging = self.recv_staging_for(r, rid, bytes, blocks);
+                let staging = self.recv_staging_for(r, rid);
                 self.ranks[r].recvs[rid.0].staging = staging;
-                self.deposit_payload(r, rid, &msg.payload);
-                self.buf_pool.put(msg.payload);
+                self.deposit_payload(r, rid, msg.payload);
                 self.ranks[r].recvs[rid.0]
                     .lifecycle
                     .apply(LifecycleEvent::DataArrived);
@@ -613,44 +611,45 @@ impl Cluster {
     }
 
     /// Receive staging for one operation: contiguous layouts land straight
-    /// in the user buffer (no unpack), everything else gets a staging
-    /// buffer per the scheme's policy.
-    fn recv_staging_for(&mut self, r: usize, rid: RecvId, bytes: u64, blocks: u64) -> StagingLoc {
+    /// in the user buffer (no unpack), everything else is staged where the
+    /// scheme's policy puts it.
+    fn recv_staging_for(&mut self, r: usize, rid: RecvId) -> StagingLoc {
         let op = &self.ranks[r].recvs[rid.0];
         if op.layout.is_contiguous_for(op.count) {
-            return StagingLoc::UserGpu(fusedpack_gpu::DevPtr {
-                addr: op.user_buf.addr,
-                len: bytes,
-            });
+            return StagingLoc::UserGpu;
         }
-        self.alloc_recv_staging(r, bytes, blocks)
-    }
-
-    /// Choose where the receiver stages the packed payload.
-    fn alloc_recv_staging(&mut self, r: usize, bytes: u64, blocks: u64) -> StagingLoc {
+        let (bytes, blocks) = (op.packed_bytes, op.blocks);
         let engine = self.engine.clone();
-        let host = engine.host_recv_staging(self, r, bytes, blocks);
-        if host {
-            StagingLoc::Host(self.host_mems[r].alloc(bytes.max(1), 64))
+        if engine.host_recv_staging(self, r, bytes, blocks) {
+            StagingLoc::Host
         } else {
-            StagingLoc::Gpu(self.staging_mems[r].alloc(bytes.max(1), 64))
+            StagingLoc::Gpu
         }
     }
 
-    /// Write an arrived payload into the receive staging buffer. A payload
-    /// with no staging to land in (a spurious delivery replayed by a fault)
-    /// is dropped and counted, not fatal.
-    fn deposit_payload(&mut self, r: usize, rid: RecvId, payload: &[u8]) {
+    /// Land an arrived payload: a staged receive takes ownership of the
+    /// buffer until its unpack; an in-place receive copies it into the user
+    /// buffer and recycles it. A payload with no staging to land in (a
+    /// spurious delivery replayed by a fault) is dropped and counted, not
+    /// fatal.
+    fn deposit_payload(&mut self, r: usize, rid: RecvId, payload: Vec<u8>) {
         if payload.is_empty() {
             return; // model-only mode
         }
-        let op = &self.ranks[r].recvs[rid.0];
+        let op = &mut self.ranks[r].recvs[rid.0];
         match op.staging {
-            StagingLoc::Gpu(p) => self.staging_mems[r].write(p, payload),
-            StagingLoc::Host(p) => self.host_mems[r].write(p, payload),
-            StagingLoc::UserGpu(p) => self.gpus[r].mem.write(p, payload),
+            StagingLoc::Gpu | StagingLoc::Host => {
+                debug_assert!(op.packed.is_empty(), "payload deposited twice");
+                op.packed = payload;
+                return;
+            }
+            StagingLoc::UserGpu => {
+                let at = in_place(op.user_buf, op.packed_bytes);
+                self.gpus[r].mem.write(at, &payload);
+            }
             StagingLoc::None => self.fault_stats.spurious += 1,
         }
+        self.buf_pool.put(payload);
     }
 
     /// RDMA initiator completion: the send is done.
@@ -671,79 +670,63 @@ impl Cluster {
         self.check_unblock(r, now);
     }
 
-    /// Allocate a sender-side staging buffer.
-    pub(crate) fn alloc_send_staging(&mut self, r: usize, bytes: u64, host: bool) -> StagingLoc {
-        if host {
-            StagingLoc::Host(self.host_mems[r].alloc(bytes.max(1), 64))
+    /// Stage a send's pack: record where the scheme stages it (`host`:
+    /// host memory, else device) and gather the user buffer into a pooled
+    /// buffer the op owns until the payload goes on the wire. `ModelOnly`
+    /// user buffers read back empty, so no buffer is taken.
+    pub(crate) fn stage_pack(&mut self, r: usize, sid: SendId, host: bool) {
+        let s = &mut self.ranks[r].sends[sid.0];
+        s.staging = if host {
+            StagingLoc::Host
         } else {
-            StagingLoc::Gpu(self.staging_mems[r].alloc(bytes.max(1), 64))
+            StagingLoc::Gpu
+        };
+        let src = self.gpus[r].mem.read(s.user_buf);
+        if src.is_empty() {
+            return;
         }
+        let bytes = s.packed_bytes as usize;
+        let mut packed = self.buf_pool.take(bytes);
+        packed.resize(bytes, 0);
+        super::copy_elems(true, &s.layout, s.count, src, &mut packed);
+        s.packed = packed;
     }
 
-    /// Apply a pack's data movement: gather the user buffer into the
-    /// staging buffer.
-    pub(crate) fn apply_pack_movement(&mut self, r: usize, sid: SendId) {
-        let (layout, user_buf, count, bytes, staging) = {
-            let s = &self.ranks[r].sends[sid.0];
-            (
-                s.layout.clone(),
-                s.user_buf,
-                s.count,
-                s.packed_bytes,
-                s.staging,
-            )
-        };
-        let (dst, at) = match staging {
-            StagingLoc::Gpu(p) => (&mut self.staging_mems[r], p),
-            StagingLoc::Host(p) => (&mut self.host_mems[r], p),
-            StagingLoc::UserGpu(_) => return, // contiguous: nothing to move
-            StagingLoc::None => {
-                // Unreachable by construction (begin_pack assigns staging
-                // before any movement); under fault injection a stale
-                // event is absorbed rather than aborting the exchange.
-                debug_assert!(false, "pack movement without staging");
-                self.fault_stats.spurious += 1;
-                return;
-            }
-        };
-        super::copy_elems(
-            true,
-            &layout,
-            count,
-            self.gpus[r].mem.read(user_buf),
-            dst.read_mut(at.slice(0, bytes)),
-        );
-    }
-
-    /// Apply an unpack's data movement: scatter staging into the user
-    /// buffer.
+    /// Apply an unpack's data movement: scatter the op's packed bytes into
+    /// the user buffer and return the buffer to the pool. The bytes are
+    /// consumed, so a second application (a fused unpack re-enqueued after
+    /// backpressure) finds nothing left to move.
     pub(crate) fn apply_unpack_movement(&mut self, r: usize, rid: RecvId) {
-        let (layout, user_buf, count, bytes, staging) = {
-            let op = &self.ranks[r].recvs[rid.0];
-            (
-                op.layout.clone(),
-                op.user_buf,
-                op.count,
-                op.packed_bytes,
-                op.staging,
-            )
-        };
-        let (src, at) = match staging {
-            StagingLoc::Gpu(p) => (&self.staging_mems[r], p),
-            StagingLoc::Host(p) => (&self.host_mems[r], p),
-            StagingLoc::UserGpu(_) => return, // contiguous: payload landed in place
+        let op = &mut self.ranks[r].recvs[rid.0];
+        match op.staging {
+            StagingLoc::Gpu | StagingLoc::Host => {}
+            StagingLoc::UserGpu => return, // contiguous: payload landed in place
             StagingLoc::None => {
+                // Unreachable by construction (matching assigns staging
+                // before any payload lands); under fault injection a stale
+                // event is absorbed rather than aborting the exchange.
                 debug_assert!(false, "unpack movement without staging");
                 self.fault_stats.spurious += 1;
                 return;
             }
-        };
+        }
+        let packed = std::mem::take(&mut op.packed);
         super::copy_elems(
             false,
-            &layout,
-            count,
-            src.read(at.slice(0, bytes)),
-            self.gpus[r].mem.read_mut(user_buf),
+            &op.layout,
+            op.count,
+            &packed,
+            self.gpus[r].mem.read_mut(op.user_buf),
         );
+        self.buf_pool.put(packed);
+    }
+}
+
+/// The first `bytes` of a user buffer: where a contiguous layout is sent
+/// from and received into in place.
+fn in_place(user_buf: DevPtr, bytes: u64) -> DevPtr {
+    DevPtr {
+        addr: user_buf.addr,
+        len: bytes,
     }
 }

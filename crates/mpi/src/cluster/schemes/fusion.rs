@@ -103,21 +103,39 @@ impl FusionEngine {
         if cx.cl.fault_fires(r, FaultSite::RingExhausted, at) {
             return Err(EnqueueError::RingFull);
         }
-        let (origin, target, layout, count) = if is_send {
+        let (user_buf, staging, bytes, layout, count) = if is_send {
             let s = &cx.cl.ranks[r].sends[idx];
-            let StagingLoc::Gpu(staging) = s.staging else {
-                panic!("fusion pack staging must be on the GPU");
-            };
-            (s.user_buf, staging, s.layout.clone(), s.count)
+            (
+                s.user_buf,
+                s.staging,
+                s.packed_bytes,
+                s.layout.clone(),
+                s.count,
+            )
         } else {
             let op = &cx.cl.ranks[r].recvs[idx];
-            let StagingLoc::Gpu(staging) = op.staging else {
-                panic!("fusion unpack staging must be on the GPU");
-            };
-            (staging, op.user_buf, op.layout.clone(), op.count)
+            (
+                op.user_buf,
+                op.staging,
+                op.packed_bytes,
+                op.layout.clone(),
+                op.count,
+            )
         };
-        // Unpack data movement is applied at enqueue time: the payload is
-        // already in staging, and results only become visible at the
+        assert_eq!(staging, StagingLoc::Gpu, "fusion stages on the GPU");
+        // The packed side is the op's own buffer, not device memory: the
+        // scheduler sees it by length alone.
+        let packed = DevPtr {
+            addr: 0,
+            len: bytes,
+        };
+        let (origin, target) = if is_send {
+            (user_buf, packed)
+        } else {
+            (packed, user_buf)
+        };
+        // Unpack data movement is applied at enqueue time: the payload has
+        // already landed, and results only become visible at the
         // completion event.
         if !is_send {
             cx.cl.apply_unpack_movement(r, RecvId(idx));
@@ -353,7 +371,8 @@ impl FusionEngine {
 /// DirectIPC data movement, shared by the zero-copy path and its staged
 /// fallback: gather receive `rid`'s elements from the sender's buffer at
 /// `origin` on GPU `src` into a pooled bounce buffer, then scatter them into
-/// the receiver's user buffer.
+/// the receiver's user buffer. A `ModelOnly` GPU reads back empty, so no
+/// bounce buffer is taken and nothing moves.
 fn ipc_copy(cx: &mut PathCtx<'_>, rid: RecvId, src: usize, origin: u64) {
     let (layout, count, user_buf, bytes) = {
         let op = &cx.cl.ranks[cx.r].recvs[rid.0];
@@ -364,12 +383,11 @@ fn ipc_copy(cx: &mut PathCtx<'_>, rid: RecvId, src: usize, origin: u64) {
         len: layout.footprint(count),
     };
     let from = cx.cl.gpus[src].mem.read(region);
-    let mut packed = cx.cl.buf_pool.take(bytes as usize);
-    // A `ModelOnly` pool reads back empty: the bounce buffer stays empty
-    // too (no memory touched), so neither copy moves anything.
-    if !from.is_empty() {
-        packed.resize(bytes as usize, 0);
+    if from.is_empty() {
+        return;
     }
+    let mut packed = cx.cl.buf_pool.take(bytes as usize);
+    packed.resize(bytes as usize, 0);
     copy_elems(true, &layout, count, from, &mut packed);
     let to = cx.cl.gpus[cx.r].mem.read_mut(user_buf);
     copy_elems(false, &layout, count, &packed, to);
@@ -433,9 +451,7 @@ impl SchemeEngine for FusionEngine {
             );
             return;
         }
-        let staging = cx.cl.alloc_send_staging(r, bytes, false);
-        cx.send_mut(sid).staging = staging;
-        cx.cl.apply_pack_movement(r, sid);
+        cx.cl.stage_pack(r, sid, false);
         // RPUT: RTS goes out before packing happens (§IV-B1), overlapping
         // the handshake with the fused kernel.
         cx.send_rts_or_issue(sid, eager);

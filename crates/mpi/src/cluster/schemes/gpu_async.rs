@@ -52,9 +52,7 @@ impl SchemeEngine for GpuAsyncEngine {
         let stats = SegmentStats::new(bytes, blocks);
         cx.charge(parse_cost(blocks), Bucket::Sync);
         cx.charge(ASYNC_TASK_COST, Bucket::Scheduling);
-        let staging = cx.cl.alloc_send_staging(cx.r, bytes, false);
-        cx.send_mut(sid).staging = staging;
-        cx.cl.apply_pack_movement(cx.r, sid);
+        cx.cl.stage_pack(cx.r, sid, false);
         let done = launch_async_kernel(cx, stats);
         cx.send_mut(sid)
             .lifecycle

@@ -15,9 +15,7 @@ impl SchemeEngine for GpuSyncEngine {
         let (bytes, blocks, eager) = cx.send_meta(sid);
         let stats = SegmentStats::new(bytes, blocks);
         cx.charge(parse_cost(blocks), Bucket::Sync);
-        let staging = cx.cl.alloc_send_staging(cx.r, bytes, false);
-        cx.send_mut(sid).staging = staging;
-        cx.cl.apply_pack_movement(cx.r, sid);
+        cx.cl.stage_pack(cx.r, sid, false);
         cx.sync_kernel(stats, Bucket::Pack);
         cx.send_mut(sid)
             .lifecycle

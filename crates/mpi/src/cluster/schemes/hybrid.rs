@@ -31,15 +31,11 @@ impl SchemeEngine for HybridEngine {
         cx.charge(lookup_cost(), Bucket::Sync);
         let cpu_path = self.policy.use_cpu_path(bytes, blocks) && cx.cl.gpus[cx.r].gdr.available;
         if cpu_path {
-            let staging = cx.cl.alloc_send_staging(cx.r, bytes, true);
-            cx.send_mut(sid).staging = staging;
-            cx.cl.apply_pack_movement(cx.r, sid);
+            cx.cl.stage_pack(cx.r, sid, true);
             let cost = cx.cl.gpus[cx.r].gdr.read_time(stats);
             cx.charge(cost, Bucket::Pack);
         } else {
-            let staging = cx.cl.alloc_send_staging(cx.r, bytes, false);
-            cx.send_mut(sid).staging = staging;
-            cx.cl.apply_pack_movement(cx.r, sid);
+            cx.cl.stage_pack(cx.r, sid, false);
             cx.sync_kernel(stats, Bucket::Pack);
         }
         cx.send_mut(sid)

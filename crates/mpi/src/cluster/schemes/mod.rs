@@ -156,21 +156,14 @@ impl Cluster {
     /// Start packing for a send. Contiguous layouts short-circuit here
     /// (send in place over GPUDirect); everything else is the engine's.
     pub(crate) fn begin_pack(&mut self, r: usize, sid: SendId) {
-        let (bytes, contiguous, user_buf) = {
+        let contiguous = {
             let s = &self.ranks[r].sends[sid.0];
-            (
-                s.packed_bytes,
-                s.layout.is_contiguous_for(s.count),
-                s.user_buf,
-            )
+            s.layout.is_contiguous_for(s.count)
         };
         if contiguous {
             self.charge(r, lookup_cost(), Bucket::Sync);
             let send = &mut self.ranks[r].sends[sid.0];
-            send.staging = StagingLoc::UserGpu(fusedpack_gpu::DevPtr {
-                addr: user_buf.addr,
-                len: bytes,
-            });
+            send.staging = StagingLoc::UserGpu;
             send.lifecycle.apply(LifecycleEvent::PackFinished);
             let eager = self.ranks[r].sends[sid.0].eager;
             self.send_rts_or_issue(r, sid, eager);
@@ -183,13 +176,21 @@ impl Cluster {
     /// Start unpacking for a receive whose payload just landed in staging.
     /// Contiguous payloads already landed in the user buffer.
     pub(crate) fn begin_unpack(&mut self, r: usize, rid: RecvId) {
-        if matches!(self.ranks[r].recvs[rid.0].staging, StagingLoc::UserGpu(_)) {
+        if self.ranks[r].recvs[rid.0].staging == StagingLoc::UserGpu {
             let rank = &mut self.ranks[r];
             rank.recvs[rid.0]
                 .lifecycle
                 .apply(LifecycleEvent::PackFinished);
             rank.recvs[rid.0].lifecycle.apply(LifecycleEvent::Completed);
             let now = rank.cpu;
+            // A blocked rank flushed at Waitall entry; if this in-place
+            // landing was the last arrival it awaited, nothing else will
+            // launch what the engine batched since (DirectIPC loads fused
+            // behind it).
+            if rank.blocked && !rank.recvs_awaiting_data() {
+                let engine = self.engine.clone();
+                engine.on_sync_point(&mut PathCtx { cl: self, r });
+            }
             self.check_unblock(r, now);
             return;
         }

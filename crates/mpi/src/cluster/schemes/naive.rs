@@ -37,9 +37,7 @@ impl SchemeEngine for NaiveEngine {
         let (bytes, blocks, _eager) = cx.send_meta(sid);
         let stats = SegmentStats::new(bytes, blocks);
         cx.charge(parse_cost(blocks), Bucket::Sync);
-        let staging = cx.cl.alloc_send_staging(cx.r, bytes, true);
-        cx.send_mut(sid).staging = staging;
-        cx.cl.apply_pack_movement(cx.r, sid);
+        cx.cl.stage_pack(cx.r, sid, true);
         let done = staged_copies(cx, stats, self.flavor);
         cx.send_mut(sid)
             .lifecycle

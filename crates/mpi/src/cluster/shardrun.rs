@@ -200,8 +200,6 @@ impl Cluster {
         }
         let mut ranks = std::mem::take(&mut self.ranks).into_vec();
         let mut gpus = std::mem::take(&mut self.gpus).into_vec();
-        let mut staging_mems = std::mem::take(&mut self.staging_mems).into_vec();
-        let mut host_mems = std::mem::take(&mut self.host_mems).into_vec();
         let mut nics = std::mem::take(&mut self.nics).into_vec();
         let mut intra_links = std::mem::take(&mut self.intra_links);
 
@@ -223,8 +221,6 @@ impl Cluster {
         for spec in specs.iter().rev() {
             let shard_ranks = ranks.split_off(spec.rank_start);
             let shard_gpus = gpus.split_off(spec.rank_start);
-            let shard_staging = staging_mems.split_off(spec.rank_start);
-            let shard_host = host_mems.split_off(spec.rank_start);
             let shard_nics = nics.split_off(spec.node_start);
             // Intra-node links are keyed by (node, node); each belongs to
             // the shard owning that node.
@@ -242,8 +238,6 @@ impl Cluster {
                 events: queues.pop().expect("one queue per shard"),
                 ranks: Ranged::with_base(spec.rank_start, shard_ranks),
                 gpus: Ranged::with_base(spec.rank_start, shard_gpus),
-                staging_mems: Ranged::with_base(spec.rank_start, shard_staging),
-                host_mems: Ranged::with_base(spec.rank_start, shard_host),
                 nics: Ranged::with_base(spec.node_start, shard_nics),
                 rndv: self.rndv,
                 topo: None,
@@ -282,8 +276,6 @@ impl Cluster {
     fn recompose(&mut self, states: Vec<Cluster>) {
         let mut ranks = Vec::new();
         let mut gpus = Vec::new();
-        let mut staging_mems = Vec::new();
-        let mut host_mems = Vec::new();
         let mut nics = Vec::new();
         for mut cl in states {
             debug_assert!(cl.wire_slab.is_empty(), "shard leaked wire messages");
@@ -304,15 +296,11 @@ impl Cluster {
             self.shard_stats.merge(&cl.shard_stats);
             ranks.extend(cl.ranks.into_vec());
             gpus.extend(cl.gpus.into_vec());
-            staging_mems.extend(cl.staging_mems.into_vec());
-            host_mems.extend(cl.host_mems.into_vec());
             nics.extend(cl.nics.into_vec());
             self.intra_links.extend(cl.intra_links);
         }
         self.ranks = Ranged::from_vec(ranks);
         self.gpus = Ranged::from_vec(gpus);
-        self.staging_mems = Ranged::from_vec(staging_mems);
-        self.host_mems = Ranged::from_vec(host_mems);
         self.nics = Ranged::from_vec(nics);
     }
 

@@ -3,7 +3,9 @@
 //! Everything that crosses a link is a [`WireMsg`]: eager payloads,
 //! rendezvous control packets (RTS/CTS), and RDMA payload deliveries.
 //! Payloads carry real bytes in `DataMode::Full` runs so end-to-end
-//! correctness is testable; in `ModelOnly` runs they are empty.
+//! correctness is testable; in `ModelOnly` runs they are empty. A payload
+//! is the very buffer the sender packed into: it moves from the send op
+//! onto the wire and into the receive op, never copied on the way.
 
 use crate::cluster::RankId;
 use crate::sendrecv::{RecvId, SendId};
@@ -33,7 +35,6 @@ pub enum WireKind {
     Cts {
         send_id: SendId,
         recv_id: RecvId,
-        staging_addr: u64,
         /// Staging is in host memory (hybrid CPU path / naive libraries).
         host_staging: bool,
     },
@@ -55,8 +56,8 @@ pub struct WireMsg {
     /// MPI tag; meaningful for `Eager` and `Rts` (matching), zero otherwise.
     pub tag: u32,
     pub kind: WireKind,
-    /// Real payload bytes (empty in model-only mode and for control
-    /// packets).
+    /// Real payload bytes, a pooled buffer moved here from the send op
+    /// (empty in model-only mode and for control packets).
     pub payload: Vec<u8>,
 }
 
@@ -90,7 +91,6 @@ mod tests {
             kind: WireKind::Cts {
                 send_id: SendId(0),
                 recv_id: RecvId(0),
-                staging_addr: 0,
                 host_staging: false,
             },
             ..base.clone()

@@ -27,34 +27,31 @@ pub struct SendId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecvId(pub usize);
 
-/// Where a packed staging buffer lives.
+/// Where an operation stages its packed bytes. The bytes themselves
+/// travel in the op's `packed` buffer (and the wire message between), so
+/// the location only decides timing: which copy engine packs or unpacks,
+/// and whether the NIC reads device memory over GPUDirect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StagingLoc {
-    /// Not yet allocated.
+    /// Not yet chosen.
     None,
     /// Device memory (kernel pack/unpack paths, fusion).
-    Gpu(DevPtr),
+    Gpu,
     /// Host memory (hybrid CPU path, naive production libraries).
-    Host(DevPtr),
+    Host,
     /// The user buffer itself, on the device: contiguous layouts need no
     /// packing and are sent/received in place.
-    UserGpu(DevPtr),
+    UserGpu,
 }
 
 impl StagingLoc {
-    pub fn addr(&self) -> u64 {
-        match self {
-            StagingLoc::Gpu(p) | StagingLoc::Host(p) | StagingLoc::UserGpu(p) => p.addr,
-            StagingLoc::None => panic!("staging not allocated"),
-        }
-    }
-
     pub fn is_host(&self) -> bool {
-        matches!(self, StagingLoc::Host(_))
+        matches!(self, StagingLoc::Host)
     }
 
-    pub fn is_some(&self) -> bool {
-        !matches!(self, StagingLoc::None)
+    /// Staged in a packed buffer the op owns (not in place, not unset).
+    pub fn is_packed(&self) -> bool {
+        matches!(self, StagingLoc::Gpu | StagingLoc::Host)
     }
 }
 
@@ -62,7 +59,6 @@ impl StagingLoc {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtsInfo {
     pub recv_id: RecvId,
-    pub staging_addr: u64,
     pub host_staging: bool,
 }
 
@@ -79,6 +75,10 @@ pub struct SendOp {
     pub blocks: u64,
     pub eager: bool,
     pub staging: StagingLoc,
+    /// The packed payload, from the pack until `try_issue` (or an RGET
+    /// read) moves it onto the wire. Empty in `ModelOnly` runs and for
+    /// in-place sends.
+    pub packed: Vec<u8>,
     /// Protocol + packing progress (replaces the old `pack`/`rts_sent`/
     /// `data_issued`/`completed` flag scatter).
     pub lifecycle: RequestLifecycle,
@@ -98,6 +98,10 @@ pub struct RecvOp {
     pub packed_bytes: u64,
     pub blocks: u64,
     pub staging: StagingLoc,
+    /// The packed payload, from its arrival until the unpack scatters it
+    /// and returns the buffer to the pool. Empty in `ModelOnly` runs and
+    /// for in-place receives.
+    pub packed: Vec<u8>,
     /// Protocol + unpacking progress (replaces the old `state`/`unpack`
     /// enum pair).
     pub lifecycle: RequestLifecycle,
@@ -140,6 +144,7 @@ mod tests {
             blocks: 1,
             eager: false,
             staging: StagingLoc::None,
+            packed: Vec::new(),
             lifecycle: RequestLifecycle::send(),
             cts: None,
             fusion_uid: None,
@@ -154,7 +159,6 @@ mod tests {
         assert!(!s.ready_to_issue(), "no CTS yet");
         s.cts = Some(CtsInfo {
             recv_id: RecvId(0),
-            staging_addr: 0,
             host_staging: false,
         });
         assert!(s.ready_to_issue());
@@ -172,18 +176,20 @@ mod tests {
 
     #[test]
     fn staging_loc_accessors() {
-        let g = StagingLoc::Gpu(DevPtr { addr: 42, len: 8 });
-        assert_eq!(g.addr(), 42);
-        assert!(!g.is_host());
-        assert!(g.is_some());
-        let h = StagingLoc::Host(DevPtr { addr: 7, len: 8 });
-        assert!(h.is_host());
-        assert!(!StagingLoc::None.is_some());
+        assert!(!StagingLoc::Gpu.is_host());
+        assert!(StagingLoc::Gpu.is_packed());
+        assert!(StagingLoc::Host.is_host());
+        assert!(StagingLoc::Host.is_packed());
+        assert!(!StagingLoc::UserGpu.is_packed());
+        assert!(!StagingLoc::None.is_packed());
     }
 
+    /// The packed buffer replaced the staging location's device pointer
+    /// and the CTS's dead staging address: a `ModelOnly` op, whose buffer
+    /// stays empty, must be no larger than before (136 and 128 bytes).
     #[test]
-    #[should_panic(expected = "staging not allocated")]
-    fn none_staging_has_no_addr() {
-        StagingLoc::None.addr();
+    fn ops_are_no_larger_than_with_pointer_staging() {
+        assert!(std::mem::size_of::<SendOp>() <= 136);
+        assert!(std::mem::size_of::<RecvOp>() <= 128);
     }
 }

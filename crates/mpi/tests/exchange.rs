@@ -508,21 +508,36 @@ fn contiguous_is_faster_than_equivalent_noncontiguous() {
     assert!(fast.final_lap() < slow.final_lap());
 }
 
-/// Byte-at-a-time FNV-1a over copied buffers — the reference
-/// `Cluster::checksum` must reproduce value for value.
-fn fnv1a_oracle(cluster: &Cluster, bufs: &[(RankId, BufId)]) -> u64 {
+/// Word-at-a-time FNV-1a over copied buffers, written out by index — the
+/// reference `Cluster::checksum` must reproduce value for value: per
+/// buffer, each little-endian 8-byte word is xored in, multiplied by the
+/// FNV prime and rotated left by 23; the last `len % 8` bytes take plain
+/// byte-wise FNV-1a steps.
+fn fnv1a_words_oracle(cluster: &Cluster, bufs: &[(RankId, BufId)]) -> u64 {
+    const PRIME: u64 = 0x0100_0000_01b3;
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &(rank, buf) in bufs {
-        for byte in cluster.rank_buffer(rank, buf) {
+        let bytes = cluster.rank_buffer(rank, buf);
+        let whole = bytes.len() / 8 * 8;
+        let mut i = 0;
+        while i < whole {
+            let mut word = 0u64;
+            for k in 0..8 {
+                word |= (bytes[i + k] as u64) << (8 * k);
+            }
+            hash = (hash ^ word).wrapping_mul(PRIME).rotate_left(23);
+            i += 8;
+        }
+        for &byte in &bytes[whole..] {
             hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
+            hash = hash.wrapping_mul(PRIME);
         }
     }
     hash
 }
 
 #[test]
-fn cluster_checksum_matches_bytewise_fnv_oracle() {
+fn cluster_checksum_matches_wordwise_fnv_oracle() {
     let build = |mode: DataMode| {
         let (p0, p1, s0, r1) = exchange_programs(&sparse_type(), 3, 4, 1);
         let mut cluster = ClusterBuilder::new(Platform::lassen(), SchemeKind::fusion_default())
@@ -542,13 +557,18 @@ fn cluster_checksum_matches_bytewise_fnv_oracle() {
     };
 
     let (full, bufs) = build(DataMode::Full);
-    let want = fnv1a_oracle(&full, &bufs);
+    assert!(
+        bufs.iter()
+            .all(|&(r, b)| full.rank_buffer(r, b).len() % 8 != 0),
+        "every buffer ends in a byte tail, so the tail steps are checked"
+    );
+    let want = fnv1a_words_oracle(&full, &bufs);
     assert_ne!(want, 0xcbf2_9ce4_8422_2325, "the buffers carry bytes");
     assert_eq!(full.checksum(bufs.iter().copied()), Some(want));
     let reversed: Vec<_> = bufs.iter().rev().copied().collect();
     assert_eq!(
         full.checksum(reversed.iter().copied()),
-        Some(fnv1a_oracle(&full, &reversed))
+        Some(fnv1a_words_oracle(&full, &reversed))
     );
 
     let (model, bufs) = build(DataMode::ModelOnly);

@@ -77,10 +77,10 @@ pub struct ExchangeOutcome {
     /// Past-event clamps the event queue had to repair. Must be zero on a
     /// fault-free run — the chaos report fails its baseline otherwise.
     pub clamps: ClampStats,
-    /// FNV-1a over both ranks' receive buffers (rank 0's first), the
-    /// end-to-end data-integrity fingerprint; `Some` only in
-    /// [`DataMode::Full`]. A faulty run recovered correctly iff its
-    /// checksum equals the fault-free run's.
+    /// `Cluster::checksum` (word-at-a-time FNV-1a) over both ranks'
+    /// receive buffers (rank 0's first), the end-to-end data-integrity
+    /// fingerprint; `Some` only in [`DataMode::Full`]. A faulty run
+    /// recovered correctly iff its checksum equals the fault-free run's.
     pub checksum: Option<u64>,
 }
 

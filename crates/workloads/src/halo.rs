@@ -284,10 +284,11 @@ pub struct HaloOutcome {
     /// Past-event clamps the event queue repaired. Must be zero on the
     /// fault-free baseline.
     pub clamps: ClampStats,
-    /// FNV-1a over every rank's receive buffers in (rank, neighbor,
-    /// message) order — the end-to-end data-integrity fingerprint;
-    /// `Some` only in [`DataMode::Full`]. A faulty run recovered
-    /// correctly iff its checksum equals the fault-free baseline's.
+    /// `Cluster::checksum` (word-at-a-time FNV-1a) over every rank's
+    /// receive buffers in (rank, neighbor, message) order — the
+    /// end-to-end data-integrity fingerprint; `Some` only in
+    /// [`DataMode::Full`]. A faulty run recovered correctly iff its
+    /// checksum equals the fault-free baseline's.
     pub checksum: Option<u64>,
 }
 
