@@ -94,7 +94,7 @@ fn bench_staging_pool(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpaths/staging");
     g.throughput(Throughput::Bytes(LEN as u64));
     g.bench_function("pool_acquire_release", |b| {
-        let pool = BufferPool::new();
+        let mut pool = BufferPool::new();
         // Warm the freelist so the steady state is all hits.
         pool.put(Vec::with_capacity(LEN));
         b.iter(|| {
@@ -117,7 +117,7 @@ fn bench_staging_pool(c: &mut Criterion) {
 /// uniform-size `hotpaths/staging` group cannot see. Cycling eager- and
 /// rendezvous-sized buffers makes a fresh-alloc strategy bounce between
 /// allocator size classes (and across the mmap threshold) every call,
-/// while the pool's largest-first freelist keeps serving warm buffers.
+/// while the pool hands its one warm max-size buffer to every request.
 fn bench_staging_pool_mixed(c: &mut Criterion) {
     // 64KB..4MB, deliberately unordered so consecutive requests never
     // match the previous buffer's size.
@@ -136,7 +136,7 @@ fn bench_staging_pool_mixed(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpaths/staging_mixed");
     g.throughput(Throughput::Bytes(total as u64));
     g.bench_function("pool_mixed_sizes", |b| {
-        let pool = BufferPool::new();
+        let mut pool = BufferPool::new();
         // Warm one max-size buffer; steady state recycles it across sizes.
         pool.put(Vec::with_capacity(4 << 20));
         b.iter(|| {

@@ -21,8 +21,8 @@
 
 use fusedpack_sim::Time;
 use fusedpack_telemetry::{Lane, Payload, Telemetry};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One unit of sweep work: a label (for timing reports) and a closure
@@ -65,14 +65,22 @@ static JOBS: AtomicUsize = AtomicUsize::new(0);
 static TIMINGS: Mutex<Vec<CellTiming>> = Mutex::new(Vec::new());
 static TELEMETRY: Mutex<Option<Telemetry>> = Mutex::new(None);
 
+/// Lock `m`, recovering the data if a panicking holder poisoned it: every
+/// guarded value here stays consistent across a panic (a timing list, a
+/// recorder handle, an unclaimed cell), so one failed sweep must not wedge
+/// the next.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Serializes the tests that change process-wide sweep settings (worker,
 /// shard or serve-request counts) or drain the timing registry: the test
 /// harness runs tests on parallel threads, and without this one test can
 /// observe another's settings halfway through a comparison.
 #[cfg(test)]
-pub(crate) fn settings_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+pub(crate) fn settings_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    lock(&LOCK)
 }
 
 /// Fix the worker-pool size (0 restores the default resolution order).
@@ -102,12 +110,12 @@ pub fn jobs() -> usize {
 /// `SweepCell` span (rank = worker index, wall-clock nanoseconds since
 /// the first attached recorder's epoch).
 pub fn set_telemetry(t: Telemetry) {
-    *TELEMETRY.lock() = Some(t);
+    *lock(&TELEMETRY) = Some(t);
 }
 
 /// Drain and return all cell timings recorded since the last call.
 pub fn take_timings() -> Vec<CellTiming> {
-    std::mem::take(&mut *TIMINGS.lock())
+    std::mem::take(&mut *lock(&TIMINGS))
 }
 
 /// A completed cell awaiting reassembly: (index, value, label, worker,
@@ -115,8 +123,8 @@ pub fn take_timings() -> Vec<CellTiming> {
 type Finished<T> = (usize, T, String, usize, Instant, Duration);
 
 fn epoch() -> Instant {
-    static EPOCH: Mutex<Option<Instant>> = Mutex::new(None);
-    *EPOCH.lock().get_or_insert_with(Instant::now)
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
 }
 
 fn record_cell(
@@ -127,7 +135,7 @@ fn record_cell(
     t0: Instant,
     wall: Duration,
 ) {
-    if let Some(t) = TELEMETRY.lock().as_ref() {
+    if let Some(t) = lock(&TELEMETRY).as_ref() {
         let start = t0.duration_since(epoch()).as_nanos() as u64;
         t.for_rank(worker as u32).span(
             Lane::Host,
@@ -139,7 +147,7 @@ fn record_cell(
             },
         );
     }
-    TIMINGS.lock().push(CellTiming {
+    lock(&TIMINGS).push(CellTiming {
         experiment: experiment.to_string(),
         label,
         index,
@@ -151,10 +159,11 @@ fn record_cell(
 /// Run `cells` and return their results in cell-index order.
 ///
 /// With `jobs() == 1` (or a single cell) the cells run inline,
-/// sequentially, on the calling thread. Otherwise a crossbeam scope
-/// spawns `min(jobs, cells)` workers that claim cells from a shared
-/// atomic cursor; results are reassembled by index afterwards, so the
-/// output is identical either way.
+/// sequentially, on the calling thread. Otherwise a thread scope spawns
+/// `min(jobs, cells)` workers that claim cells from a shared atomic
+/// cursor; each worker returns the cells it finished, and the results are
+/// reassembled by index afterwards, so the output is identical either
+/// way. A panicking cell fails the whole sweep at either worker count.
 pub fn sweep<T: Send + 'static>(experiment: &str, cells: Vec<Cell<T>>) -> Vec<T> {
     let n = cells.len();
     let workers = jobs().min(n);
@@ -177,35 +186,31 @@ pub fn sweep<T: Send + 'static>(experiment: &str, cells: Vec<Cell<T>>) -> Vec<T>
     let slots: Vec<Mutex<Option<Cell<T>>>> =
         cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
     let cursor = AtomicUsize::new(0);
-    let done: Mutex<Vec<Finished<T>>> = Mutex::new(Vec::with_capacity(n));
 
-    crossbeam::thread::scope(|s| {
+    let mut finished: Vec<Finished<T>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
-                let slots = &slots;
-                let cursor = &cursor;
-                let done = &done;
-                s.spawn(move || loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= n {
-                        break;
+                let (slots, cursor) = (&slots, &cursor);
+                s.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        if index >= n {
+                            return done;
+                        }
+                        let cell = lock(&slots[index]).take().expect("cell claimed once");
+                        let t0 = Instant::now();
+                        let value = (cell.job)();
+                        done.push((index, value, cell.label, worker, t0, t0.elapsed()));
                     }
-                    let cell = slots[index].lock().take().expect("cell claimed once");
-                    let t0 = Instant::now();
-                    let value = (cell.job)();
-                    let wall = t0.elapsed();
-                    done.lock()
-                        .push((index, value, cell.label, worker, t0, wall));
                 })
             })
             .collect();
-        for h in handles {
-            h.join().expect("sweep worker panicked");
-        }
-    })
-    .expect("sweep scope");
-
-    let mut finished = done.into_inner();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sweep worker panicked"))
+            .collect()
+    });
     finished.sort_by_key(|&(index, ..)| index);
     debug_assert_eq!(finished.len(), n);
     // Record timings in cell-index order so the --timings report is as
@@ -285,5 +290,39 @@ mod tests {
             .collect();
         assert!(spans.len() >= 5, "one span per cell, got {}", spans.len());
         assert!(spans.iter().all(|e| e.is_span()));
+    }
+
+    /// Restores the default worker count and drains the timing registry
+    /// when dropped, so a test that panics on purpose leaves no settings
+    /// behind.
+    struct ResetSettings;
+
+    impl Drop for ResetSettings {
+        fn drop(&mut self) {
+            set_jobs(0);
+            let _ = take_timings();
+        }
+    }
+
+    /// Sweep eight cells at `jobs` workers, the sixth of which panics.
+    fn sweep_with_panicking_cell(jobs: usize) {
+        let _settings = settings_lock();
+        let _reset = ResetSettings;
+        set_jobs(jobs);
+        let mut cells = cells(8);
+        cells[5] = Cell::new("boom", || panic!("cell failed"));
+        let _ = sweep("panics", cells);
+    }
+
+    #[test]
+    #[should_panic(expected = "cell failed")]
+    fn panicking_cell_fails_a_sequential_sweep() {
+        sweep_with_panicking_cell(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep worker panicked")]
+    fn panicking_cell_fails_a_parallel_sweep() {
+        sweep_with_panicking_cell(4);
     }
 }

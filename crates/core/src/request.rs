@@ -2,17 +2,16 @@
 
 use fusedpack_datatype::Layout;
 use fusedpack_gpu::{DevPtr, FusedWork, SegmentStats};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Unique request identifier handed back to the progress engine. The paper
 /// uses a negative UID to signal rejection; this engine uses
 /// `Result<Uid, EnqueueError>` instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Uid(pub u64);
 
 /// The operation a request asks the fused kernel to perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FusionOp {
     /// Gather a non-contiguous origin buffer into a contiguous target.
     Pack,
@@ -30,7 +29,7 @@ pub enum FusionOp {
 /// cooperative group finishes its request — here it is advanced by the
 /// kernel-completion events of the simulation, which stand in for those
 /// device-visible flag writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Status {
     /// Slot is free.
     Idle,

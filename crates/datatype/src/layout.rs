@@ -10,8 +10,6 @@
 //! ([`crate::compile`]). This module keeps the shared plain-data types —
 //! [`Segment`] and [`UniformPlan`] — and the legacy name.
 
-use serde::{Deserialize, Serialize};
-
 pub use crate::compile::{AbsSegments, CompiledLayout};
 
 /// The committed form of a datatype (alias of [`CompiledLayout`], the
@@ -20,7 +18,7 @@ pub type Layout = CompiledLayout;
 
 /// One contiguous run of bytes within an element: `(offset, len)` relative
 /// to the element base address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Segment {
     pub offset: u64,
     pub len: u64,

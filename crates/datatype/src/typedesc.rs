@@ -6,11 +6,10 @@
 //! bounds are not supported (asserted at construction), which loses no
 //! generality for the halo-exchange layouts this workspace models.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// MPI primitive (named) types, with their sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Primitive {
     /// `MPI_BYTE` / `MPI_CHAR`
     Byte,

@@ -12,10 +12,8 @@
 //!   use this to avoid allocating gigabytes per iteration (timing is
 //!   independent of the data).
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a pool carries real bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataMode {
     /// Real backing storage; copies move bytes.
     Full,
@@ -24,7 +22,7 @@ pub enum DataMode {
 }
 
 /// A pointer into a [`MemPool`]: offset and length in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DevPtr {
     pub addr: u64,
     pub len: u64,

@@ -2,28 +2,18 @@
 //!
 //! The data plane used to allocate a fresh `Vec<u8>` for every staged
 //! payload (eager copies, rendezvous staging reads, IPC gathers). A
-//! [`BufferPool`] keeps a freelist of retired buffers behind a
-//! `parking_lot::Mutex` so those per-message allocations become
-//! acquire/release pairs: `take` hands out an **empty** vector whose
-//! capacity already covers the request whenever the freelist can satisfy
-//! it, and `put` returns the vector for the next message.
+//! [`BufferPool`] keeps a freelist of retired buffers so those
+//! per-message allocations become acquire/release pairs: `take` hands out
+//! an **empty** vector whose capacity already covers the request whenever
+//! the freelist can satisfy it, and `put` returns the vector for the next
+//! message.
 //!
-//! The pool is cheap to clone (`Arc` inside), so one pool can be threaded
-//! through a whole cluster — or shared across clusters — without wiring
-//! lifetimes through the event loop.
-
-use parking_lot::Mutex;
-use std::sync::Arc;
-
-/// How many retired buffers the freelist retains; beyond this, `put`
-/// drops the buffer instead (bounds worst-case memory held by idle pools).
-const MAX_FREE: usize = 64;
-
-#[derive(Debug, Default)]
-struct PoolInner {
-    free: Vec<Vec<u8>>,
-    stats: PoolStats,
-}
+//! Each cluster, and each shard of a sharded run, owns its pool and uses
+//! it only from the thread running that event loop, so the pool is a plain
+//! owned freelist. A buffer that crosses shards inside a wire message
+//! returns to the receiving shard's pool. The freelist needs no cap: `take`
+//! makes a new buffer only when the freelist is empty, so a pool that gets
+//! back the buffers it hands out never holds more than were live at once.
 
 /// Acquire/release counters for a [`BufferPool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,14 +24,14 @@ pub struct PoolStats {
     pub misses: u64,
     /// Buffers returned via `put`.
     pub released: u64,
-    /// Buffers dropped by `put` because the freelist was full.
-    pub dropped: u64,
 }
 
-/// A shared freelist of byte buffers. See the module docs.
-#[derive(Debug, Clone, Default)]
+/// An owned freelist of byte buffers. See the module docs.
+#[derive(Debug, Default)]
 pub struct BufferPool {
-    inner: Arc<Mutex<PoolInner>>,
+    /// Retired buffers, sorted by ascending capacity.
+    free: Vec<Vec<u8>>,
+    stats: PoolStats,
 }
 
 impl BufferPool {
@@ -53,20 +43,19 @@ impl BufferPool {
     /// largest retired buffer (the freelist is kept sorted by capacity) so
     /// steady-state traffic stops allocating once the high-water mark is
     /// reached.
-    pub fn take(&self, len: usize) -> Vec<u8> {
-        let mut inner = self.inner.lock();
-        match inner.free.pop() {
+    pub fn take(&mut self, len: usize) -> Vec<u8> {
+        match self.free.pop() {
             Some(mut buf) => {
                 if buf.capacity() >= len {
-                    inner.stats.hits += 1;
+                    self.stats.hits += 1;
                 } else {
-                    inner.stats.misses += 1;
+                    self.stats.misses += 1;
                     buf.reserve(len);
                 }
                 buf
             }
             None => {
-                inner.stats.misses += 1;
+                self.stats.misses += 1;
                 Vec::with_capacity(len)
             }
         }
@@ -74,32 +63,27 @@ impl BufferPool {
 
     /// Return a buffer to the freelist. The contents are cleared; capacity
     /// is kept for reuse.
-    pub fn put(&self, mut buf: Vec<u8>) {
+    pub fn put(&mut self, mut buf: Vec<u8>) {
         if buf.capacity() == 0 {
             return; // nothing worth keeping (ModelOnly payloads)
         }
         buf.clear();
-        let mut inner = self.inner.lock();
-        inner.stats.released += 1;
-        if inner.free.len() >= MAX_FREE {
-            inner.stats.dropped += 1;
-            return;
-        }
+        self.stats.released += 1;
         // Keep the freelist sorted so `pop` hands out the largest buffer.
-        let pos = inner
+        let pos = self
             .free
             .partition_point(|b| b.capacity() <= buf.capacity());
-        inner.free.insert(pos, buf);
+        self.free.insert(pos, buf);
     }
 
     /// Counters since construction.
     pub fn stats(&self) -> PoolStats {
-        self.inner.lock().stats
+        self.stats
     }
 
     /// Buffers currently resting in the freelist.
     pub fn free_len(&self) -> usize {
-        self.inner.lock().free.len()
+        self.free.len()
     }
 }
 
@@ -109,7 +93,7 @@ mod tests {
 
     #[test]
     fn take_put_take_reuses_capacity() {
-        let pool = BufferPool::new();
+        let mut pool = BufferPool::new();
         let mut a = pool.take(100);
         assert!(a.is_empty() && a.capacity() >= 100);
         a.extend_from_slice(&[1, 2, 3]);
@@ -124,7 +108,7 @@ mod tests {
 
     #[test]
     fn undersized_buffer_counts_as_miss_but_grows() {
-        let pool = BufferPool::new();
+        let mut pool = BufferPool::new();
         pool.put(Vec::with_capacity(8));
         let b = pool.take(1024);
         assert!(b.capacity() >= 1024);
@@ -133,7 +117,7 @@ mod tests {
 
     #[test]
     fn largest_buffer_is_handed_out_first() {
-        let pool = BufferPool::new();
+        let mut pool = BufferPool::new();
         pool.put(Vec::with_capacity(16));
         pool.put(Vec::with_capacity(256));
         pool.put(Vec::with_capacity(64));
@@ -142,30 +126,10 @@ mod tests {
     }
 
     #[test]
-    fn freelist_is_bounded() {
-        let pool = BufferPool::new();
-        for _ in 0..(MAX_FREE + 10) {
-            pool.put(Vec::with_capacity(8));
-        }
-        assert_eq!(pool.free_len(), MAX_FREE);
-        assert_eq!(pool.stats().dropped, 10);
-    }
-
-    #[test]
     fn zero_capacity_buffers_are_not_pooled() {
-        let pool = BufferPool::new();
+        let mut pool = BufferPool::new();
         pool.put(Vec::new());
         assert_eq!(pool.free_len(), 0);
         assert_eq!(pool.stats().released, 0);
-    }
-
-    #[test]
-    fn clones_share_the_freelist() {
-        let pool = BufferPool::new();
-        let clone = pool.clone();
-        pool.put(Vec::with_capacity(32));
-        assert_eq!(clone.free_len(), 1);
-        let _ = clone.take(4);
-        assert_eq!(pool.free_len(), 0);
     }
 }

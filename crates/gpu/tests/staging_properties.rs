@@ -6,10 +6,6 @@
 use fusedpack_gpu::BufferPool;
 use proptest::prelude::*;
 
-/// Mirrors `staging::MAX_FREE` (the freelist bound is part of the
-/// observable contract: `free_len()` may never exceed it).
-const MAX_FREE: usize = 64;
-
 /// One step of the driver: acquire a buffer of `len` bytes, or release
 /// the live buffer at `victim % live.len()` (a no-op when none are live).
 #[derive(Debug, Clone)]
@@ -47,14 +43,17 @@ proptest! {
     /// is still live (every live buffer keeps its unique fill pattern for
     /// its whole lifetime), and the counters reconcile — hits + misses is
     /// exactly the number of `take` calls, released is exactly the number
-    /// of returned buffers, and the freelist stays within its bound.
+    /// of returned buffers, and the pool never holds more buffers (resting
+    /// plus live) than were live at once, since it allocates only when its
+    /// freelist is empty.
     #[test]
     fn recycling_never_aliases_live_payloads(ops in prop::collection::vec(arb_op(), 1..128)) {
-        let pool = BufferPool::new();
+        let mut pool = BufferPool::new();
         let mut live: Vec<(u64, usize, Vec<u8>)> = Vec::new(); // (tag, len, buf)
         let mut takes = 0u64;
         let mut puts = 0u64;
         let mut next_tag = 0u64;
+        let mut peak_live = 0usize;
 
         for op in ops {
             match op {
@@ -67,6 +66,7 @@ proptest! {
                     next_tag += 1;
                     fill(&mut buf, len, tag);
                     live.push((tag, len, buf));
+                    peak_live = peak_live.max(live.len());
                 }
                 Op::Put { victim } => {
                     if live.is_empty() {
@@ -80,16 +80,21 @@ proptest! {
                 }
             }
             // After every step, every live payload is still intact and the
-            // freelist respects its bound.
+            // pool holds no buffer beyond the peak live count.
             for (tag, len, buf) in &live {
                 check(buf, *len, *tag)?;
             }
-            prop_assert!(pool.free_len() <= MAX_FREE);
+            prop_assert!(
+                pool.free_len() + live.len() <= peak_live,
+                "{} resting + {} live buffers exceed the peak of {} live",
+                pool.free_len(),
+                live.len(),
+                peak_live
+            );
 
             let s = pool.stats();
             prop_assert_eq!(s.hits + s.misses, takes, "hits+misses must equal total take() calls");
             prop_assert_eq!(s.released, puts, "released must equal total put() calls");
-            prop_assert!(s.dropped <= s.released);
             prop_assert!(s.hits <= puts, "a hit requires a previously returned buffer");
         }
     }
@@ -99,9 +104,9 @@ proptest! {
     /// allocates nothing new (the freelist hands out largest-first).
     #[test]
     fn warm_pool_serves_repeat_traffic_from_the_freelist(
-        mut lens in prop::collection::vec(1usize..64 * 1024, 1..MAX_FREE),
+        mut lens in prop::collection::vec(1usize..64 * 1024, 1..64),
     ) {
-        let pool = BufferPool::new();
+        let mut pool = BufferPool::new();
         let taken: Vec<Vec<u8>> = lens.iter().map(|&len| pool.take(len)).collect();
         for buf in taken {
             pool.put(buf);

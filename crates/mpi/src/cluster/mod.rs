@@ -34,7 +34,6 @@ use fusedpack_sim::{
     RetryPolicy, ShardStats, Slab, Time, WheelStats,
 };
 use fusedpack_telemetry::{Lane, Payload, Telemetry};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -89,7 +88,7 @@ pub enum RndvProtocol {
 }
 
 /// A rank (one process driving one GPU).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RankId(pub u32);
 
 /// Internal simulation events.
@@ -822,7 +821,6 @@ impl Cluster {
         s.hits += self.absorbed_pool.hits;
         s.misses += self.absorbed_pool.misses;
         s.released += self.absorbed_pool.released;
-        s.dropped += self.absorbed_pool.dropped;
         s
     }
 

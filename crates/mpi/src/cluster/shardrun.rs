@@ -291,7 +291,6 @@ impl Cluster {
             self.absorbed_pool.hits += pool.hits;
             self.absorbed_pool.misses += pool.misses;
             self.absorbed_pool.released += pool.released;
-            self.absorbed_pool.dropped += pool.dropped;
             self.fault_stats.merge(&cl.fault_stats);
             self.shard_stats.merge(&cl.shard_stats);
             ranks.extend(cl.ranks.into_vec());
@@ -321,7 +320,7 @@ impl Cluster {
         };
         let mut scratch: Vec<(Time, u64, WireMsg)> = Vec::new();
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let (res_tx, res_rx) = mpsc::channel::<(usize, Cluster)>();
             let mut cmd_txs: Vec<mpsc::SyncSender<(Cluster, Time)>> = Vec::with_capacity(n);
             for s in 0..n {
@@ -385,8 +384,7 @@ impl Cluster {
                     });
             }
             drop(cmd_txs); // workers exit their recv loops
-        })
-        .expect("shard worker panicked");
+        });
 
         let mut states: Vec<Cluster> = slots.into_iter().map(|c| c.expect("shard home")).collect();
         // Queue aggregates across shards, gathered before recompose.

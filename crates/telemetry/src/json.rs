@@ -1,9 +1,8 @@
 //! A minimal JSON value, writer, and parser.
 //!
-//! The offline build environment cannot fetch `serde_json`, so trace
-//! export writes JSON by hand and the golden tests round-trip through this
-//! parser instead. It supports the full JSON grammar except exotic number
-//! forms beyond f64.
+//! The workspace builds on `std` alone, so trace export writes JSON by
+//! hand and the golden tests round-trip through this parser. It supports
+//! the full JSON grammar except exotic number forms beyond f64.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
